@@ -288,6 +288,7 @@ mod tests {
             decoded: 9,
             dropped_events: 1,
             dropped_bytes: 4,
+            invalid: None,
         };
         let a = report(&rep, &decode);
         let b = report(&rep, &decode);

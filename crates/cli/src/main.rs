@@ -48,8 +48,8 @@ use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_shadow::{HashSelect, PagedSelect, StoreSelect};
 use dgrace_trace::io::{read_summary, read_trace_with, write_summary, write_trace};
 use dgrace_trace::{
-    stats::stats, trace_fingerprint, validate, AffinityMap, AnalysisSummary, DecodeLimits,
-    DecodeStats, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
+    stats::stats, trace_fingerprint, AffinityMap, AnalysisSummary, DecodeLimits, DecodeStats,
+    LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -518,19 +518,20 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// Opens, decodes, and validates a `.dgrt` trace. With `resync` the
-/// decoder skips damaged byte regions instead of failing, and any loss is
-/// reported on stderr (and in `--json` output via the returned
-/// [`DecodeStats`]); the recovered subset can only *miss* races, never
-/// invent them.
+/// Opens, decodes, and validates a `.dgrt` trace in one pass (the
+/// decoder checks the schedule as it goes; a decode error wins over a
+/// validation error). With `resync` the decoder skips damaged byte
+/// regions instead of failing, and any loss is reported on stderr (and in
+/// `--json` output via the returned [`DecodeStats`]); the recovered
+/// subset can only *miss* races, never invent them.
 fn load_trace(path: &str, resync: bool) -> Result<(Trace, DecodeStats), Failure> {
-    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+    let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
     let opts = ReadOptions {
         limits: DecodeLimits::default(),
         resync,
     };
-    let (trace, dstats) = read_trace_with(&mut BufReader::new(f), opts)
-        .map_err(|e| decode_failure(path, &e, !resync))?;
+    let (trace, dstats) =
+        read_trace_with(&mut f, opts).map_err(|e| decode_failure(path, &e, !resync))?;
     if dstats.lossy() {
         eprintln!(
             "dgrace: warning: {path}: resync dropped {} event(s) / {} corrupt byte(s); \
@@ -538,7 +539,7 @@ fn load_trace(path: &str, resync: bool) -> Result<(Trace, DecodeStats), Failure>
             dstats.dropped_events, dstats.dropped_bytes
         );
     }
-    if let Err(e) = validate(&trace) {
+    if let Some(e) = dstats.invalid {
         if resync {
             // A lossy recovery may break well-formedness (e.g. a join
             // whose fork was dropped); the detectors tolerate that.

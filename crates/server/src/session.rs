@@ -215,7 +215,7 @@ fn run_session(
             hello.detector
         ))
     })?;
-    let _name_guard = NameGuard::register(shared, &hello.session)
+    let name_guard = NameGuard::register(shared, &hello.session)
         .ok_or_else(|| Quarantine::new(format!("session `{}` is already live", hello.session)))?;
 
     // Degradation ladder step 1: past the soft session watermark — or
@@ -349,14 +349,18 @@ fn run_session(
                 // session, so a session that reaches FINISH has lost
                 // exactly zero — the field documents that invariant.
                 let json = proto::report_json(&hello.session, &report, 0, degraded);
+                // Everything the session does under its name happens
+                // before REPORT goes out: a client may reconnect under
+                // the same name the moment it reads the report. A
+                // finished session's checkpoint must not be resumed into
+                // that fresh stream.
+                if let Some(path) = &ckpt_path {
+                    let _ = std::fs::remove_file(path);
+                }
+                drop(name_guard);
                 send(&mut out, proto::FRAME_REPORT, json.as_bytes())?;
                 out.flush()
                     .map_err(|e| Quarantine::new(format!("write failed: {e}")))?;
-                if let Some(path) = &ckpt_path {
-                    // A finished session's checkpoint must not be
-                    // resumed into a fresh stream later.
-                    let _ = std::fs::remove_file(path);
-                }
                 return Ok(End::Finished);
             }
             Ok(Some(frame)) => {

@@ -403,6 +403,44 @@ fn duplicate_session_name_is_refused() {
 }
 
 #[test]
+fn reconnect_under_just_finished_name_is_admitted() {
+    // A client that reconnects the moment it reads REPORT must find its
+    // name free: the finishing session releases it before REPORT goes
+    // out. Two clients, each reusing its own name back to back.
+    const SESSIONS: usize = 1500;
+    let dir = scratch("reuse");
+    let handle = Server::spawn(base_config(&dir)).expect("spawn");
+    let trace = racy_trace();
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let sock = handle.socket().to_path_buf();
+            let trace = trace.clone();
+            std::thread::spawn(move || {
+                let name = format!("reuser-{i}");
+                let mut refusals = Vec::new();
+                for _ in 0..SESSIONS {
+                    match Client::connect(&sock, &name, "byte") {
+                        Ok(mut c) => {
+                            c.send_events(&trace.events).expect("send");
+                            c.finish().expect("finish");
+                        }
+                        Err(e) => refusals.push(e.to_string()),
+                    }
+                }
+                refusals
+            })
+        })
+        .collect();
+    for w in workers {
+        let refusals = w.join().expect("client thread");
+        assert!(refusals.is_empty(), "refused: {refusals:?}");
+    }
+    let stats = handle.stop().expect("stop");
+    assert_eq!(stats.finished, 2 * SESSIONS as u64);
+    assert_eq!(stats.quarantined, 0);
+}
+
+#[test]
 fn unknown_detector_is_refused_with_reason() {
     let dir = scratch("unknown-det");
     let handle = Server::spawn(base_config(&dir)).expect("spawn");

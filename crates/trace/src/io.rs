@@ -75,7 +75,8 @@ use crate::summary::{
     AffinityMap, AffinityRange, AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange,
     HeatBucket, LocationClass, RoutingPlan, SummaryStats, SUMMARY_VERSION,
 };
-use crate::{AccessSize, Addr, Event, LockId, Trace};
+use crate::validate::Validator;
+use crate::{AccessSize, Addr, Event, LockId, Trace, ValidationError};
 
 const MAGIC: &[u8; 4] = b"DGRT";
 const VERSION: u32 = 1;
@@ -293,7 +294,8 @@ pub struct ReadOptions {
     pub resync: bool,
 }
 
-/// What decoding actually consumed, for degraded-mode reporting.
+/// What decoding actually consumed, for degraded-mode reporting, and
+/// whether the decoded schedule is well-formed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Events the header declared.
@@ -304,6 +306,11 @@ pub struct DecodeStats {
     pub dropped_events: u64,
     /// Raw bytes skipped while re-synchronizing (resync mode).
     pub dropped_bytes: u64,
+    /// The first structural defect among the decoded events, as
+    /// [`validate`](crate::validate) would report it on the decoded
+    /// trace (`at` indexes decoded events). A decode error takes
+    /// precedence: a stream that fails to decode returns that error.
+    pub invalid: Option<ValidationError>,
 }
 
 impl DecodeStats {
@@ -412,36 +419,34 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// Outcome of attempting to decode one event from a byte window.
-pub(crate) enum SliceDecode {
-    /// Decoded an event spanning `usize` bytes.
-    Done(Event, usize),
-    /// The window is too short; the record needs this many bytes total.
-    NeedMore(usize),
-    /// The bytes cannot encode an event.
-    Fail(TraceError),
-}
-
-/// Decodes one event from the front of `buf`. `offset` is the absolute
-/// stream position of `buf[0]`, used only for error reporting. Never
-/// panics and never allocates.
-pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> SliceDecode {
-    if buf.is_empty() {
-        return SliceDecode::NeedMore(1);
-    }
-    let tag = buf[0];
-    let need = match tag {
-        0 | 1 => 14,
-        2..=5 | 8..=13 => 9,
-        6 | 7 => MAX_EVENT_BYTES,
-        t => return SliceDecode::Fail(TraceError::BadTag { offset, tag: t }),
+/// Decodes one event from the front of `buf`, returning it and the bytes
+/// it spans. `offset` is the absolute stream position of `buf[0]`, used
+/// only for error reporting. A window too short for the record is
+/// [`TraceError::Truncated`] at the window's end. Never panics and never
+/// allocates.
+#[inline]
+pub(crate) fn decode_event(
+    buf: &[u8],
+    offset: u64,
+    limits: &DecodeLimits,
+) -> Result<(Event, usize), TraceError> {
+    let need = match buf.first() {
+        None => 1,
+        Some(0 | 1) => 14,
+        Some(2..=5 | 8..=13) => 9,
+        Some(6 | 7) => MAX_EVENT_BYTES,
+        Some(&tag) => return Err(TraceError::BadTag { offset, tag }),
     };
     if buf.len() < need {
-        return SliceDecode::NeedMore(need);
+        return Err(TraceError::Truncated {
+            offset: offset + buf.len() as u64,
+            expected: need - buf.len(),
+        });
     }
+    let tag = buf[0];
     let tid_raw = le_u32(&buf[1..5]);
     if tid_raw > limits.max_tid {
-        return SliceDecode::Fail(TraceError::LimitExceeded {
+        return Err(TraceError::LimitExceeded {
             offset: offset + 1,
             what: "thread id",
             value: tid_raw as u64,
@@ -454,7 +459,7 @@ pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> Sl
             let addr = Addr(le_u64(&buf[5..13]));
             let sz = buf[13];
             let Some(size) = AccessSize::from_bytes(sz as u64) else {
-                return SliceDecode::Fail(TraceError::BadSize {
+                return Err(TraceError::BadSize {
                     offset: offset + 13,
                     size: sz,
                 });
@@ -476,7 +481,7 @@ pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> Sl
         4 | 5 => {
             let child_raw = le_u32(&buf[5..9]);
             if child_raw > limits.max_tid {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
+                return Err(TraceError::LimitExceeded {
                     offset: offset + 5,
                     what: "thread id",
                     value: child_raw as u64,
@@ -499,7 +504,7 @@ pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> Sl
             let addr = Addr(le_u64(&buf[5..13]));
             let size = le_u64(&buf[13..21]);
             if size > limits.max_obj_size {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
+                return Err(TraceError::LimitExceeded {
                     offset: offset + 13,
                     what: "object size",
                     value: size,
@@ -507,7 +512,7 @@ pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> Sl
                 });
             }
             if addr.0.checked_add(size).is_none() {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
+                return Err(TraceError::LimitExceeded {
                     offset: offset + 13,
                     what: "object end (addr + size wraps)",
                     value: size,
@@ -532,7 +537,7 @@ pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> Sl
             }
         }
     };
-    SliceDecode::Done(ev, need)
+    Ok((ev, need))
 }
 
 /// Reads a trace from `r` with default options.
@@ -557,14 +562,25 @@ pub fn read_trace_with<R: io::Read>(
     Ok((Trace { events }, stats))
 }
 
+/// Bytes an [`EventReader`] asks its source for per read. One block
+/// amortizes a read call over thousands of records, and a reader never
+/// holds more raw stream bytes than this.
+const BLOCK_BYTES: usize = 64 * 1024;
+
 /// A streaming event reader: decodes one event at a time, so traces far
 /// larger than memory can be fed straight into a detector.
 ///
-/// The reader maintains a small internal window (one maximum-size record)
-/// and decodes from it, which lets it distinguish a cleanly exhausted
-/// stream from a mid-record truncation ([`TraceError::Truncated`]) and,
-/// in [resync mode](ReadOptions::resync), slide byte-by-byte over corrupt
-/// regions.
+/// The reader pulls the stream in fixed-size blocks and decodes each
+/// record straight out of the block with the slice decoder the frame
+/// path shares ([`decode_event_at`](crate::decode_event_at)). It keeps at
+/// least one maximum-size record in the block until the source is
+/// exhausted, which lets it distinguish a cleanly exhausted stream from a
+/// mid-record truncation ([`TraceError::Truncated`]) and, in
+/// [resync mode](ReadOptions::resync), slide byte-by-byte over corrupt
+/// regions. Every decoded event is also checked against the schedule
+/// rules of [`validate`](crate::validate), so a full read reports the
+/// trace's first structural defect in [`DecodeStats::invalid`] without a
+/// second pass.
 ///
 /// ```
 /// use dgrace_trace::io::{to_bytes, EventReader};
@@ -579,12 +595,14 @@ pub fn read_trace_with<R: io::Read>(
 /// let ev = reader.next().unwrap().unwrap();
 /// assert!(ev.is_access());
 /// assert!(reader.next().is_none());
+/// assert!(reader.stats().invalid.is_none());
 /// ```
 pub struct EventReader<R> {
     src: R,
-    /// Sliding window over the stream; `buf[pos..]` is undecoded.
-    buf: Vec<u8>,
+    /// One block of the stream; `buf[pos..end]` is undecoded.
+    buf: Box<[u8]>,
     pos: usize,
+    end: usize,
     /// Absolute stream offset of `buf[pos]`.
     offset: u64,
     declared: u64,
@@ -595,6 +613,9 @@ pub struct EventReader<R> {
     failed: bool,
     limits: DecodeLimits,
     resync: bool,
+    /// Checks the schedule of the decoded events until the first defect.
+    validator: Validator,
+    invalid: Option<ValidationError>,
 }
 
 impl<R: io::Read> EventReader<R> {
@@ -608,8 +629,9 @@ impl<R: io::Read> EventReader<R> {
     pub fn with_options(src: R, opts: ReadOptions) -> Result<Self, TraceError> {
         let mut reader = EventReader {
             src,
-            buf: Vec::with_capacity(4 * MAX_EVENT_BYTES),
+            buf: vec![0u8; BLOCK_BYTES].into_boxed_slice(),
             pos: 0,
+            end: 0,
             offset: 0,
             declared: 0,
             decoded: 0,
@@ -618,6 +640,8 @@ impl<R: io::Read> EventReader<R> {
             failed: false,
             limits: opts.limits,
             resync: opts.resync,
+            validator: Validator::default(),
+            invalid: None,
         };
         let mut header = [0u8; 4];
         reader.fill_exact(&mut header)?;
@@ -649,14 +673,15 @@ impl<R: io::Read> EventReader<R> {
         self.declared - self.decoded.min(self.declared)
     }
 
-    /// What has been consumed and dropped so far. Loss counters are final
-    /// once the iterator returns `None`.
+    /// What has been consumed, dropped and found invalid so far. The
+    /// counters are final once the iterator returns `None`.
     pub fn stats(&self) -> DecodeStats {
         DecodeStats {
             declared: self.declared,
             decoded: self.decoded,
             dropped_events: self.declared.saturating_sub(self.decoded),
             dropped_bytes: self.dropped_bytes,
+            invalid: self.invalid,
         }
     }
 
@@ -665,8 +690,8 @@ impl<R: io::Read> EventReader<R> {
     fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), TraceError> {
         let mut n = 0;
         while n < out.len() {
-            if self.pos < self.buf.len() {
-                let take = (self.buf.len() - self.pos).min(out.len() - n);
+            if self.pos < self.end {
+                let take = (self.end - self.pos).min(out.len() - n);
                 out[n..n + take].copy_from_slice(&self.buf[self.pos..self.pos + take]);
                 self.pos += take;
                 n += take;
@@ -685,17 +710,16 @@ impl<R: io::Read> EventReader<R> {
         Ok(())
     }
 
-    /// Tops the window up to at least one maximum-size record (or EOF).
+    /// Moves the undecoded tail to the front of the block and reads until
+    /// it holds at least one maximum-size record (or the source is done).
     fn refill(&mut self) -> Result<(), TraceError> {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        let mut tmp = [0u8; 256];
-        while !self.eof && self.buf.len() < MAX_EVENT_BYTES {
-            match self.src.read(&mut tmp) {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while !self.eof && self.end < MAX_EVENT_BYTES {
+            match self.src.read(&mut self.buf[self.end..]) {
                 Ok(0) => self.eof = true,
-                Ok(k) => self.buf.extend_from_slice(&tmp[..k]),
+                Ok(k) => self.end += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(TraceError::Io(e)),
             }
@@ -703,16 +727,11 @@ impl<R: io::Read> EventReader<R> {
         Ok(())
     }
 
-    /// Bytes currently available without further reads.
-    fn available(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Drops one byte from the front of the window (resync slide).
-    fn skip_byte(&mut self) {
-        self.pos += 1;
-        self.offset += 1;
-        self.dropped_bytes += 1;
+    /// Drops `n` bytes from the front of the block as lost (resync).
+    fn skip(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n as u64;
+        self.dropped_bytes += n as u64;
     }
 }
 
@@ -724,51 +743,31 @@ impl<R: io::Read> Iterator for EventReader<R> {
             return None;
         }
         loop {
-            if self.available() < MAX_EVENT_BYTES && !self.eof {
+            if self.end - self.pos < MAX_EVENT_BYTES && !self.eof {
                 if let Err(e) = self.refill() {
                     self.failed = true;
                     return Some(Err(e));
                 }
             }
-            if self.available() == 0 {
-                // Stream ended with events still owed.
-                if self.resync {
-                    return None;
-                }
-                self.failed = true;
-                return Some(Err(TraceError::Truncated {
-                    offset: self.offset,
-                    expected: 1,
-                }));
-            }
-            match decode_event(&self.buf[self.pos..], self.offset, &self.limits) {
-                SliceDecode::Done(ev, n) => {
+            match decode_event(&self.buf[self.pos..self.end], self.offset, &self.limits) {
+                Ok((ev, n)) => {
                     self.pos += n;
                     self.offset += n as u64;
                     self.decoded += 1;
+                    if self.invalid.is_none() {
+                        self.invalid = self.validator.check(&ev).err();
+                    }
                     return Some(Ok(ev));
                 }
-                SliceDecode::NeedMore(need) => {
-                    debug_assert!(self.eof, "refill leaves a full record unless at EOF");
-                    if self.resync {
-                        // A truncated tail: count its bytes as dropped.
-                        while self.available() > 0 {
-                            self.skip_byte();
-                        }
-                        return None;
-                    }
-                    let avail = self.available();
-                    self.failed = true;
-                    return Some(Err(TraceError::Truncated {
-                        offset: self.offset + avail as u64,
-                        expected: need - avail,
-                    }));
+                // The block is short only at the end of the source: the
+                // stream ended with events still owed. Resync counts the
+                // partial tail as dropped and ends cleanly.
+                Err(TraceError::Truncated { .. }) if self.resync => {
+                    self.skip(self.end - self.pos);
+                    return None;
                 }
-                SliceDecode::Fail(e) => {
-                    if self.resync && e.is_corruption() {
-                        self.skip_byte();
-                        continue;
-                    }
+                Err(e) if self.resync && e.is_corruption() => self.skip(1),
+                Err(e) => {
                     self.failed = true;
                     return Some(Err(e));
                 }
@@ -866,7 +865,7 @@ pub fn write_summary<W: io::Write>(summary: &AnalysisSummary, w: &mut W) -> io::
 
 /// A cursor over an `io::Read` that tracks absolute offsets and reports
 /// truncation precisely. Used by the summary decoder (the trace decoder
-/// has its own sliding window for resync support).
+/// reads blocks of its own for resync support).
 struct Cursor<'a, R> {
     src: &'a mut R,
     offset: u64,

@@ -1,6 +1,6 @@
 //! Structural validation of traces.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dgrace_vc::Tid;
 
@@ -12,7 +12,7 @@ use crate::{Event, LockId, Trace};
 /// a racy trace is perfectly valid; a trace where a thread releases a lock
 /// it does not hold is not (it could never have been observed from a real
 /// pthreads execution).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ValidationError {
     /// A thread other than the main thread acted before being forked.
     UnforkedThread {
@@ -167,78 +167,145 @@ impl std::error::Error for ValidationError {}
 
 /// Checks that a trace is a plausible pthreads schedule.
 ///
-/// Returns the first defect found, or `Ok(())`.
+/// Returns the first defect found, or `Ok(())`. The trace decoder runs
+/// the same checks inline on every event it yields (see
+/// [`DecodeStats::invalid`](crate::DecodeStats::invalid)).
 pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
-    let mut forked: HashSet<Tid> = HashSet::new();
-    forked.insert(Tid::MAIN);
-    let mut joined: HashSet<Tid> = HashSet::new();
-    // Which thread holds each lock right now.
-    let mut held: HashMap<LockId, Tid> = HashMap::new();
-    // Read holders of each rwlock (same id space as plain locks).
-    let mut read_held: HashMap<LockId, Vec<Tid>> = HashMap::new();
-    // Pending barrier arrivals.
-    let mut arrived: HashMap<LockId, Vec<Tid>> = HashMap::new();
+    let mut v = Validator::default();
+    trace.iter().try_for_each(|ev| v.check(ev))
+}
 
-    for (at, ev) in trace.iter().enumerate() {
+/// Where a thread is in its fork/join life.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Life {
+    Unforked,
+    Live,
+    Joined,
+}
+
+/// The schedule checker as a state machine fed one event at a time.
+///
+/// Fork/join state is dense, indexed by thread id: it is probed on every
+/// event but changes only at forks and joins. Lock, rwlock and barrier
+/// state is keyed by object id and touched only by sync events. A
+/// validator that has reported a defect has undefined state; callers stop
+/// feeding it at the first error.
+#[derive(Debug)]
+pub(crate) struct Validator {
+    /// Index of the next event, reported as `at`.
+    next: usize,
+    /// Life of each thread id; ids past the end are unforked.
+    threads: Vec<Life>,
+    /// Which thread holds each lock right now.
+    held: HashMap<LockId, Tid>,
+    /// Read holders of each rwlock (same id space as plain locks).
+    read_held: HashMap<LockId, Vec<Tid>>,
+    /// Pending barrier arrivals.
+    arrived: HashMap<LockId, Vec<Tid>>,
+}
+
+impl Default for Validator {
+    fn default() -> Self {
+        Validator {
+            next: 0,
+            // The main thread exists before any fork.
+            threads: vec![Life::Live],
+            held: HashMap::new(),
+            read_held: HashMap::new(),
+            arrived: HashMap::new(),
+        }
+    }
+}
+
+impl Validator {
+    fn life(&self, tid: Tid) -> Life {
+        self.threads
+            .get(tid.index())
+            .copied()
+            .unwrap_or(Life::Unforked)
+    }
+
+    fn set_life(&mut self, tid: Tid, life: Life) {
+        if tid.index() >= self.threads.len() {
+            self.threads.resize(tid.index() + 1, Life::Unforked);
+        }
+        self.threads[tid.index()] = life;
+    }
+
+    /// Checks the next event of the schedule and advances the state.
+    #[inline]
+    pub(crate) fn check(&mut self, ev: &Event) -> Result<(), ValidationError> {
+        let at = self.next;
+        self.next += 1;
         let actor = ev.tid();
-        if !forked.contains(&actor) {
-            return Err(ValidationError::UnforkedThread { tid: actor, at });
+        match self.life(actor) {
+            Life::Live if ev.is_access() => Ok(()),
+            Life::Live => self.check_sync(ev, at),
+            Life::Unforked => Err(ValidationError::UnforkedThread { tid: actor, at }),
+            Life::Joined => Err(ValidationError::ActedAfterJoin { tid: actor, at }),
         }
-        if joined.contains(&actor) {
-            return Err(ValidationError::ActedAfterJoin { tid: actor, at });
-        }
+    }
+
+    /// The rules for everything but plain accesses, by a live actor.
+    fn check_sync(&mut self, ev: &Event, at: usize) -> Result<(), ValidationError> {
         match *ev {
             Event::Fork { child, .. } => {
-                if !forked.insert(child) {
+                if self.life(child) != Life::Unforked {
                     return Err(ValidationError::DoubleFork { tid: child, at });
                 }
+                self.set_life(child, Life::Live);
             }
             Event::Join { child, .. } => {
-                if !forked.contains(&child) {
+                if self.life(child) == Life::Unforked {
                     return Err(ValidationError::JoinOfUnforked { tid: child, at });
                 }
-                if let Some((&lock, _)) = held.iter().find(|&(_, &t)| t == child) {
-                    return Err(ValidationError::ThreadJoinedHoldingLock {
-                        tid: child,
-                        lock,
-                        at,
-                    });
-                }
-                if let Some((&lock, _)) = read_held
+                // The lowest-numbered lock still held, so the report does
+                // not depend on hash order.
+                let still_held = self
+                    .held
                     .iter()
-                    .find(|(_, holders)| holders.contains(&child))
-                {
+                    .filter(|&(_, &t)| t == child)
+                    .map(|(&lock, _)| lock)
+                    .min()
+                    .or_else(|| {
+                        self.read_held
+                            .iter()
+                            .filter(|(_, holders)| holders.contains(&child))
+                            .map(|(&lock, _)| lock)
+                            .min()
+                    });
+                if let Some(lock) = still_held {
                     return Err(ValidationError::ThreadJoinedHoldingLock {
                         tid: child,
                         lock,
                         at,
                     });
                 }
-                joined.insert(child);
+                self.set_life(child, Life::Joined);
             }
             Event::Acquire { tid, lock } => {
-                if held.contains_key(&lock) {
+                if self.held.contains_key(&lock) {
                     return Err(ValidationError::AcquireOfHeldLock { tid, lock, at });
                 }
-                if read_held.get(&lock).is_some_and(|r| !r.is_empty()) {
+                if self.read_held.get(&lock).is_some_and(|r| !r.is_empty()) {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
-                held.insert(lock, tid);
+                self.held.insert(lock, tid);
             }
             Event::Release { tid, lock } => {
-                if held.get(&lock) != Some(&tid) {
+                if self.held.get(&lock) != Some(&tid) {
                     return Err(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
                 }
-                held.remove(&lock);
+                self.held.remove(&lock);
             }
             Event::AcquireRead { tid, lock } => {
-                if held.contains_key(&lock) {
+                if self.held.contains_key(&lock) {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
-                read_held.entry(lock).or_default().push(tid);
+                self.read_held.entry(lock).or_default().push(tid);
             }
             Event::ReleaseRead { tid, lock } => {
-                let holders = read_held.entry(lock).or_default();
+                let holders = self.read_held.entry(lock).or_default();
                 match holders.iter().position(|&t| t == tid) {
                     Some(i) => {
                         holders.swap_remove(i);
@@ -254,10 +321,10 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
                 // schedule some execution can produce.
             }
             Event::BarrierArrive { tid, bar } => {
-                arrived.entry(bar).or_default().push(tid);
+                self.arrived.entry(bar).or_default().push(tid);
             }
             Event::BarrierDepart { tid, bar } => {
-                let waiting = arrived.entry(bar).or_default();
+                let waiting = self.arrived.entry(bar).or_default();
                 match waiting.iter().position(|&t| t == tid) {
                     Some(i) => {
                         waiting.swap_remove(i);
@@ -274,8 +341,8 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
             }
             Event::Read { .. } | Event::Write { .. } => {}
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -400,6 +467,25 @@ mod tests {
                 tid: Tid(1),
                 lock: LockId(5),
                 at: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn join_while_holding_several_locks_names_the_lowest() {
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, 1u32)
+            .acquire(1u32, 9u32)
+            .acquire(1u32, 4u32)
+            .acquire_read(1u32, 2u32)
+            .acquire(1u32, 7u32)
+            .join(0u32, 1u32);
+        assert_eq!(
+            validate(&b.build()),
+            Err(ValidationError::ThreadJoinedHoldingLock {
+                tid: Tid(1),
+                lock: LockId(4),
+                at: 5,
             })
         );
     }
