@@ -64,16 +64,11 @@ impl HybridDetector {
 
     fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
         self.accesses += 1;
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, addr),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, addr),
-        };
-        if !first {
+        let Some((my_epoch, now)) = self.hb.first_access(tid, addr, kind == AccessKind::Write)
+        else {
             self.same_epoch += 1;
             return;
-        }
-        let now = self.hb.clock(tid).clone();
-        let my_epoch = Epoch::new(now.get(tid), tid);
+        };
         let held = self.held.entry(tid).or_default().clone();
 
         let is_new = !self.table.contains_key(&addr);

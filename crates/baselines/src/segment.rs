@@ -108,7 +108,7 @@ impl SegmentDetector {
             }
         }
 
-        let now = self.hb.clock(tid).clone();
+        let now = self.hb.clock(tid);
         let my_epoch = Epoch::new(now.get(tid), tid);
 
         // Check against every concurrent segment of another thread.

@@ -61,17 +61,17 @@ fn bench_shadow_table(c: &mut Criterion) {
 fn bench_bitmap(c: &mut Criterion) {
     let mut group = c.benchmark_group("epoch-bitmap");
     group.throughput(Throughput::Elements(4096));
-    group.bench_function("set-then-test", |b| {
+    group.bench_function("first-then-repeat", |b| {
         b.iter(|| {
             let mut bm = EpochBitmap::new();
             let mut hits = 0;
             for i in 0..4096u64 {
-                if bm.test_and_set(Addr(0x1000 + i), i % 2 == 0) {
+                if bm.first_access(Addr(0x1000 + i), i % 2 == 0) {
                     hits += 1;
                 }
             }
             for i in 0..4096u64 {
-                if bm.test_either(Addr(0x1000 + i)) {
+                if bm.first_access(Addr(0x1000 + i), false) {
                     hits += 1;
                 }
             }

@@ -25,8 +25,17 @@ use crate::{DynamicConfig, VcState};
 /// switches.
 #[derive(Debug)]
 pub struct DynamicGranularityOn<K: StoreSelect> {
-    config: DynamicConfig,
     hb: HbState,
+    planes: Planes<K>,
+}
+
+/// Everything an access reads or updates besides the happens-before
+/// state: the two planes, the memory model, the races and the counters.
+/// Kept apart from [`HbState`] so the two are disjoint borrows — an
+/// access checks and records against the thread's clock in place.
+#[derive(Debug)]
+struct Planes<K: StoreSelect> {
+    config: DynamicConfig,
     read: PlaneOn<K>,
     write: PlaneOn<K>,
     model: MemoryModel,
@@ -49,8 +58,6 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
     affinity_hint: usize,
     preseed_hits: u64,
     preseed_misses: u64,
-    /// Reusable clock buffer: avoids a heap allocation per access.
-    scratch: VectorClock,
     /// Governor-forced first-epoch scan widening (0 = no pressure). The
     /// effective scan is `config.first_epoch_scan.max(pressure_scan)`.
     /// Deliberately *not* part of [`DynamicConfig`] and not serialized:
@@ -94,8 +101,73 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// Creates a detector with an explicit configuration.
     pub fn with_config(config: DynamicConfig) -> Self {
         DynamicGranularityOn {
-            config,
             hb: HbState::new(),
+            planes: Planes::new(config),
+        }
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &DynamicConfig {
+        &self.planes.config
+    }
+
+    /// Installs an AOT sharing-affinity map (`detect --affinity-with`).
+    ///
+    /// Every prediction is re-verified against live shadow state before
+    /// it is taken, and any mismatch falls back to the unseeded probe
+    /// path, so a stale or adversarial map can cost probes but cannot
+    /// change the race set. Must be installed before any events; the
+    /// map survives [`Detector::finish`] resets and is cloned into
+    /// shards.
+    pub fn set_affinity(&mut self, map: Arc<AffinityMap>) {
+        self.planes.affinity = map;
+        self.planes.affinity_hint = 0;
+    }
+
+    /// Whether the pre-seed verification counters have crossed the
+    /// bailout threshold: at least [`PRESEED_BAILOUT_MISSES`] misses
+    /// *and* a miss rate of [`PRESEED_BAILOUT_RATE`] or worse. A map
+    /// that mispredicts this consistently costs a wasted verification
+    /// probe on nearly every write (canneal-style workloads lose ~8%),
+    /// so the detector stops consulting it. Pure function of the two
+    /// serialized counters — a resumed run is bailed exactly when the
+    /// interrupted one was, and every prediction actually taken was
+    /// verified, so the race set is byte-identical either way.
+    pub fn preseed_bailed(&self) -> bool {
+        self.planes.preseed_bailed()
+    }
+
+    /// The installed affinity map (empty when unseeded).
+    pub fn affinity(&self) -> &AffinityMap {
+        &self.planes.affinity
+    }
+
+    /// Pre-seed verification counters: `(hits, misses)`.
+    pub fn preseed_counters(&self) -> (u64, u64) {
+        (self.planes.preseed_hits, self.planes.preseed_misses)
+    }
+
+    /// Read-plane group snapshot for `addr` (testing/diagnostics).
+    pub fn read_group(&self, addr: Addr) -> Option<crate::GroupSnapshot> {
+        self.planes.read.snapshot(addr)
+    }
+
+    /// Write-plane group snapshot for `addr` (testing/diagnostics).
+    pub fn write_group(&self, addr: Addr) -> Option<crate::GroupSnapshot> {
+        self.planes.write.snapshot(addr)
+    }
+
+    /// Checks both planes' structural invariants (testing; O(locations)).
+    pub fn check_invariants(&self) {
+        self.planes.read.check_invariants();
+        self.planes.write.check_invariants();
+    }
+}
+
+impl<K: StoreSelect> Planes<K> {
+    fn new(config: DynamicConfig) -> Self {
+        Planes {
+            config,
             read: PlaneOn::new(),
             write: PlaneOn::new(),
             model: MemoryModel::new(),
@@ -113,27 +185,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             affinity_hint: 0,
             preseed_hits: 0,
             preseed_misses: 0,
-            scratch: VectorClock::new(),
             pressure_scan: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DynamicConfig {
-        &self.config
-    }
-
-    /// Installs an AOT sharing-affinity map (`detect --affinity-with`).
-    ///
-    /// Every prediction is re-verified against live shadow state before
-    /// it is taken, and any mismatch falls back to the unseeded probe
-    /// path, so a stale or adversarial map can cost probes but cannot
-    /// change the race set. Must be installed before any events; the
-    /// map survives [`Detector::finish`] resets and is cloned into
-    /// shards.
-    pub fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.affinity = map;
-        self.affinity_hint = 0;
     }
 
     /// Certification check through the locality memo (see
@@ -157,65 +210,25 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
-    /// Whether the pre-seed verification counters have crossed the
-    /// bailout threshold: at least [`PRESEED_BAILOUT_MISSES`] misses
-    /// *and* a miss rate of [`PRESEED_BAILOUT_RATE`] or worse. A map
-    /// that mispredicts this consistently costs a wasted verification
-    /// probe on nearly every write (canneal-style workloads lose ~8%),
-    /// so the detector stops consulting it. Pure function of the two
-    /// serialized counters — a resumed run is bailed exactly when the
-    /// interrupted one was, and every prediction actually taken was
-    /// verified, so the race set is byte-identical either way.
-    pub fn preseed_bailed(&self) -> bool {
+    /// See [`DynamicGranularityOn::preseed_bailed`].
+    fn preseed_bailed(&self) -> bool {
         let (num, den) = PRESEED_BAILOUT_RATE;
         self.preseed_misses >= PRESEED_BAILOUT_MISSES
             && self.preseed_misses * den >= (self.preseed_hits + self.preseed_misses) * num
-    }
-
-    /// The installed affinity map (empty when unseeded).
-    pub fn affinity(&self) -> &AffinityMap {
-        &self.affinity
-    }
-
-    /// Pre-seed verification counters: `(hits, misses)`.
-    pub fn preseed_counters(&self) -> (u64, u64) {
-        (self.preseed_hits, self.preseed_misses)
-    }
-
-    /// Read-plane group snapshot for `addr` (testing/diagnostics).
-    pub fn read_group(&self, addr: Addr) -> Option<crate::GroupSnapshot> {
-        self.read.snapshot(addr)
-    }
-
-    /// Write-plane group snapshot for `addr` (testing/diagnostics).
-    pub fn write_group(&self, addr: Addr) -> Option<crate::GroupSnapshot> {
-        self.write.snapshot(addr)
-    }
-
-    /// Checks both planes' structural invariants (testing; O(locations)).
-    pub fn check_invariants(&self) {
-        self.read.check_invariants();
-        self.write.check_invariants();
     }
 
     // ------------------------------------------------------------------
     // Access handling (Fig. 3).
     // ------------------------------------------------------------------
 
-    fn on_access(&mut self, tid: Tid, addr: Addr, size: u64, kind: AccessKind) {
+    fn on_access(&mut self, hb: &mut HbState, tid: Tid, addr: Addr, size: u64, kind: AccessKind) {
         self.accesses += 1;
 
         // Per-thread bitmap: cheapest same-epoch filter.
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, addr),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, addr),
-        };
-        if !first {
+        let Some((my_epoch, now)) = hb.first_access(tid, addr, kind == AccessKind::Write) else {
             self.same_epoch += 1;
             return;
-        }
-
-        let my_epoch = self.hb.epoch(tid);
+        };
         let plane = self.plane(kind);
         let lookup = plane.lookup(addr);
 
@@ -231,20 +244,17 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             }
         }
 
-        let mut now = std::mem::take(&mut self.scratch);
-        now.clone_from(self.hb.clock(tid));
         match lookup {
-            None => self.first_access(tid, addr, size, kind, &now, my_epoch),
+            None => self.first_access(tid, addr, size, kind, now, my_epoch),
             Some(id) => {
                 if self.plane(kind).cell(id).state.is_init() {
-                    self.second_epoch_access(tid, addr, size, kind, &now, my_epoch, id);
+                    self.second_epoch_access(tid, addr, size, kind, now, my_epoch, id);
                 } else {
-                    self.steady_access(tid, addr, size, kind, &now, my_epoch, id);
+                    self.steady_access(tid, addr, size, kind, now, my_epoch, id);
                 }
             }
         }
-        self.scratch = now;
-        self.update_model();
+        self.update_model(hb.bitmap_bytes());
     }
 
     /// Is the access already summarized by the cell's clock in this epoch?
@@ -743,7 +753,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
-    fn update_model(&mut self) {
+    fn update_model(&mut self, bitmap_bytes: usize) {
         // The read and write planes index (almost always) the same
         // addresses; like the paper's structure (one chunk entry holding
         // the location's read and write clock pointers), the modeled
@@ -756,7 +766,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             MemClass::VectorClock,
             self.read.vc_bytes() + self.write.vc_bytes(),
         );
-        self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
+        self.model.set(MemClass::Bitmap, bitmap_bytes);
         // Table 3 counts distinct vector-clock objects: with the CoW
         // interning arena that is the live *clock-entry* population, which
         // split/dissolve no longer grow.
@@ -820,92 +830,94 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
 
 impl<K: StoreSelect> ShardableDetector for DynamicGranularityOn<K> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
-        let mut shard = DynamicGranularityOn::<K>::with_config(self.config);
-        shard.model.set_budget(self.model.budget());
-        shard.affinity = Arc::clone(&self.affinity);
-        shard.pressure_scan = self.pressure_scan;
+        let mut shard = DynamicGranularityOn::<K>::with_config(self.planes.config);
+        shard.planes.model.set_budget(self.planes.model.budget());
+        shard.planes.affinity = Arc::clone(&self.planes.affinity);
+        shard.planes.pressure_scan = self.planes.pressure_scan;
         Box::new(shard)
     }
 }
 
 impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
     fn name(&self) -> String {
-        let seeded = if self.affinity.is_empty() {
+        let seeded = if self.planes.affinity.is_empty() {
             ""
         } else {
             "+preseed"
         };
-        format!("{}{}{seeded}", self.config.label(), K::NAME_SUFFIX)
+        format!("{}{}{seeded}", self.planes.config.label(), K::NAME_SUFFIX)
     }
 
     fn on_event(&mut self, ev: &Event) {
-        self.events += 1;
+        let (hb, p) = (&mut self.hb, &mut self.planes);
+        p.events += 1;
         match *ev {
             Event::Read { tid, addr, size } => {
-                self.on_access(tid, addr, size.bytes(), AccessKind::Read)
+                p.on_access(hb, tid, addr, size.bytes(), AccessKind::Read)
             }
             Event::Write { tid, addr, size } => {
-                self.on_access(tid, addr, size.bytes(), AccessKind::Write)
+                p.on_access(hb, tid, addr, size.bytes(), AccessKind::Write)
             }
             Event::Free { addr, size, .. } => {
-                self.read.remove_range(addr, size);
-                self.write.remove_range(addr, size);
-                self.update_model();
+                p.read.remove_range(addr, size);
+                p.write.remove_range(addr, size);
+                p.update_model(hb.bitmap_bytes());
             }
             Event::Alloc { .. } => {}
             _ => {
-                self.hb.on_sync(ev);
-                self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
+                hb.on_sync(ev);
+                p.model.set(MemClass::Bitmap, hb.bitmap_bytes());
             }
         }
-        self.event_index += 1;
+        p.event_index += 1;
     }
 
     fn finish(&mut self) -> Report {
-        // Table 3's "Avg. sharing count": locations per live clock at the
-        // moment the location population peaks.
-        let avg_share = if self.cells_at_peak == 0 {
-            0.0
-        } else {
-            self.peak_locs as f64 / self.cells_at_peak as f64
-        };
+        let detector = self.name();
+        let p = &mut self.planes;
         let mut rep = Report {
-            detector: self.name(),
-            races: std::mem::take(&mut self.races),
+            detector,
+            races: std::mem::take(&mut p.races),
             ..Report::default()
         };
-        rep.stats.events = self.events;
-        rep.stats.accesses = self.accesses;
-        rep.stats.same_epoch = self.same_epoch;
-        rep.stats.vc_allocs = self.read.vc_allocs() + self.write.vc_allocs();
-        rep.stats.vc_frees = self.read.vc_frees() + self.write.vc_frees();
-        rep.stats.peak_vc_count = self.model.peak_vc_count();
-        rep.stats.peak_hash_bytes = self.model.peak(MemClass::Hash);
-        rep.stats.peak_vc_bytes = self.model.peak(MemClass::VectorClock);
+        rep.stats.events = p.events;
+        rep.stats.accesses = p.accesses;
+        rep.stats.same_epoch = p.same_epoch;
+        rep.stats.vc_allocs = p.read.vc_allocs() + p.write.vc_allocs();
+        rep.stats.vc_frees = p.read.vc_frees() + p.write.vc_frees();
+        rep.stats.peak_vc_count = p.model.peak_vc_count();
+        rep.stats.peak_hash_bytes = p.model.peak(MemClass::Hash);
+        rep.stats.peak_vc_bytes = p.model.peak(MemClass::VectorClock);
         rep.stats.peak_bitmap_bytes = self.hb.peak_bitmap_bytes();
-        rep.stats.peak_total_bytes = self.model.peak_total();
+        rep.stats.peak_total_bytes = p.model.peak_total();
+        // Table 3's "Avg. sharing count": locations per live clock at the
+        // moment the location population peaks.
+        let avg_share = if p.cells_at_peak == 0 {
+            0.0
+        } else {
+            p.peak_locs as f64 / p.cells_at_peak as f64
+        };
         rep.stats.sharing = Some(SharingStats {
-            shares: self.shares,
-            splits: self.splits,
+            shares: p.shares,
+            splits: p.splits,
             avg_share_count: avg_share,
-            max_group: self.read.max_group().max(self.write.max_group()),
+            max_group: p.read.max_group().max(p.write.max_group()),
         });
-        rep.stats.evicted = self.evicted;
-        rep.stats.preseed_hits = self.preseed_hits;
-        rep.stats.preseed_misses = self.preseed_misses;
-        rep.budget_degraded = self.model.breached();
-        let budget = self.model.budget();
-        let affinity = Arc::clone(&self.affinity);
-        let pressure_scan = self.pressure_scan;
-        *self = Self::with_config(self.config);
-        self.model.set_budget(budget);
-        self.affinity = affinity;
-        self.pressure_scan = pressure_scan;
+        rep.stats.evicted = p.evicted;
+        rep.stats.preseed_hits = p.preseed_hits;
+        rep.stats.preseed_misses = p.preseed_misses;
+        rep.budget_degraded = p.model.breached();
+        let mut fresh = Planes::new(p.config);
+        fresh.model.set_budget(p.model.budget());
+        fresh.affinity = Arc::clone(&p.affinity);
+        fresh.pressure_scan = p.pressure_scan;
+        self.hb = HbState::new();
+        self.planes = fresh;
         rep
     }
 
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.model.set_budget(bytes.map(|b| b as usize));
+        self.planes.model.set_budget(bytes.map(|b| b as usize));
     }
 
     fn set_affinity(&mut self, map: Arc<AffinityMap>) {
@@ -913,7 +925,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
     }
 
     fn set_pressure(&mut self, level: PressureLevel) {
-        self.pressure_scan = if level >= PressureLevel::High {
+        self.planes.pressure_scan = if level >= PressureLevel::High {
             PRESSURE_SCAN
         } else {
             0
@@ -922,56 +934,57 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
 
     fn mem_classes(&self) -> [u64; 3] {
         [
-            self.model.current(MemClass::Hash) as u64,
-            self.model.current(MemClass::VectorClock) as u64,
-            self.model.current(MemClass::Bitmap) as u64,
+            self.planes.model.current(MemClass::Hash) as u64,
+            self.planes.model.current(MemClass::VectorClock) as u64,
+            self.planes.model.current(MemClass::Bitmap) as u64,
         ]
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
         let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
         w.str(&self.name());
+        let p = &self.planes;
         // Full config fields, not just the label: restore must reject a
         // snapshot from any differently-configured detector.
-        w.bool(self.config.init_state);
-        w.bool(self.config.share_at_init);
-        w.u64(self.config.first_epoch_scan);
-        w.bool(self.config.enable_sharing);
-        w.bool(self.config.guide_reads_by_writes);
-        w.u8(self.config.max_redecisions);
-        w.bool(self.config.report_group_races);
+        w.bool(p.config.init_state);
+        w.bool(p.config.share_at_init);
+        w.u64(p.config.first_epoch_scan);
+        w.bool(p.config.enable_sharing);
+        w.bool(p.config.guide_reads_by_writes);
+        w.u8(p.config.max_redecisions);
+        w.bool(p.config.report_group_races);
         self.hb.encode(&mut w);
-        self.read.encode(&mut w);
-        self.write.encode(&mut w);
-        self.model.encode(&mut w);
-        w.count(self.races.len());
-        for race in &self.races {
+        p.read.encode(&mut w);
+        p.write.encode(&mut w);
+        p.model.encode(&mut w);
+        w.count(p.races.len());
+        for race in &p.races {
             race.encode(&mut w);
         }
         for c in [
-            self.events,
-            self.accesses,
-            self.same_epoch,
-            self.shares,
-            self.splits,
-            self.evicted,
-            self.peak_locs as u64,
-            self.cells_at_peak as u64,
-            self.event_index,
-            self.preseed_hits,
-            self.preseed_misses,
+            p.events,
+            p.accesses,
+            p.same_epoch,
+            p.shares,
+            p.splits,
+            p.evicted,
+            p.peak_locs as u64,
+            p.cells_at_peak as u64,
+            p.event_index,
+            p.preseed_hits,
+            p.preseed_misses,
         ] {
             w.u64(c);
         }
         // Resuming under a *different* affinity map than the one the
         // snapshot was taken with would silently change which probes are
         // attempted; bind the snapshot to the map by digest.
-        w.u64(self.affinity.digest());
+        w.u64(p.affinity.digest());
         Some(w.finish())
     }
 
     fn races_so_far(&self) -> &[RaceReport] {
-        &self.races
+        &self.planes.races
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -995,10 +1008,10 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             max_redecisions: r.u8().map_err(fail)?,
             report_group_races: r.bool().map_err(fail)?,
         };
-        if config != self.config {
+        if config != self.planes.config {
             return Err(format!(
                 "{name}: snapshot configuration {config:?} differs from this detector's {:?}",
-                self.config
+                self.planes.config
             ));
         }
         let hb = HbState::decode(&mut r).map_err(fail)?;
@@ -1015,18 +1028,17 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             *c = r.u64().map_err(fail)?;
         }
         let digest = r.u64().map_err(fail)?;
-        if digest != self.affinity.digest() {
+        if digest != self.planes.affinity.digest() {
             return Err(format!(
                 "{name}: snapshot was taken with a different affinity map \
                  (digest {digest:#x} vs {:#x})",
-                self.affinity.digest()
+                self.planes.affinity.digest()
             ));
         }
         r.expect_end().map_err(fail)?;
-        model.set_budget(self.model.budget());
-        *self = DynamicGranularityOn {
+        model.set_budget(self.planes.model.budget());
+        let planes = Planes {
             config,
-            hb,
             read,
             write,
             model,
@@ -1040,13 +1052,13 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             peak_locs: counters[6] as usize,
             cells_at_peak: counters[7] as usize,
             event_index: counters[8],
-            affinity: Arc::clone(&self.affinity),
+            affinity: Arc::clone(&self.planes.affinity),
             affinity_hint: 0,
             preseed_hits: counters[9],
             preseed_misses: counters[10],
-            scratch: VectorClock::new(),
-            pressure_scan: self.pressure_scan,
+            pressure_scan: self.planes.pressure_scan,
         };
+        *self = DynamicGranularityOn { hb, planes };
         Ok(())
     }
 }
@@ -1246,11 +1258,11 @@ mod tests {
         // Below the minimum miss count the bailout never fires, however
         // bad the rate; above it, a healthy hit rate keeps the map live.
         let mut det = DynamicGranularity::new();
-        det.preseed_misses = PRESEED_BAILOUT_MISSES - 1;
+        det.planes.preseed_misses = PRESEED_BAILOUT_MISSES - 1;
         assert!(!det.preseed_bailed(), "volume floor not reached");
-        det.preseed_misses = PRESEED_BAILOUT_MISSES;
+        det.planes.preseed_misses = PRESEED_BAILOUT_MISSES;
         assert!(det.preseed_bailed(), "all-miss past the floor bails");
-        det.preseed_hits = PRESEED_BAILOUT_MISSES; // rate drops to 1/2
+        det.planes.preseed_hits = PRESEED_BAILOUT_MISSES; // rate drops to 1/2
         assert!(!det.preseed_bailed(), "hits keep a useful map alive");
     }
 

@@ -94,8 +94,11 @@ fn legalize(ops: &[TraceOp]) -> Vec<Event> {
     events
 }
 
+/// A named pair of identical fresh detectors.
+type Pair = (&'static str, Box<dyn Detector>, Box<dyn Detector>);
+
 /// One fresh instance per detector family × store backend.
-fn fresh_detectors() -> Vec<(&'static str, Box<dyn Detector>, Box<dyn Detector>)> {
+fn fresh_detectors() -> Vec<Pair> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

@@ -69,8 +69,6 @@ pub struct FastTrackOn<K: StoreSelect> {
     vc_frees: u64,
     evicted: u64,
     event_index: u64,
-    /// Reusable clock buffer: avoids a heap allocation per access.
-    scratch: dgrace_vc::VectorClock,
 }
 
 /// FastTrack on the chained-hash store (the default).
@@ -94,18 +92,11 @@ impl<K: StoreSelect> FastTrackOn<K> {
         self.accesses += 1;
         let loc = self.granularity.locate(addr);
 
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, loc),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, loc),
-        };
-        if !first {
+        let Some((my_epoch, now)) = self.hb.first_access(tid, loc, kind == AccessKind::Write)
+        else {
             self.same_epoch += 1;
             return;
-        }
-
-        let mut now = std::mem::take(&mut self.scratch);
-        now.clone_from(self.hb.clock(tid));
-        let my_epoch = Epoch::new(now.get(tid), tid);
+        };
 
         if self.table.get(loc).is_none() {
             let cell = Box::new(Cell::new());
@@ -120,19 +111,19 @@ impl<K: StoreSelect> FastTrackOn<K> {
         match kind {
             AccessKind::Read => {
                 // [READ] write-read race: the last write is concurrent.
-                if !cell.read_raced && !cell.write.is_none() && !cell.write.leq(&now) {
+                if !cell.read_raced && !cell.write.is_none() && !cell.write.leq(now) {
                     race = Some((RaceKind::WriteRead, cell.write));
                     cell.read_raced = true;
                 }
-                cell.read.record_read(tid, &now);
+                cell.read.record_read(tid, now);
             }
             AccessKind::Write => {
                 if !cell.write_raced {
-                    if !cell.write.is_none() && !cell.write.leq(&now) {
+                    if !cell.write.is_none() && !cell.write.leq(now) {
                         // [WRITE] write-write race.
                         race = Some((RaceKind::WriteWrite, cell.write));
                         cell.write_raced = true;
-                    } else if let Some(r) = cell.read.find_concurrent_read(&now) {
+                    } else if let Some(r) = cell.read.find_concurrent_read(now) {
                         // [WRITE] read-write race.
                         race = Some((RaceKind::ReadWrite, r));
                         cell.write_raced = true;
@@ -161,7 +152,6 @@ impl<K: StoreSelect> FastTrackOn<K> {
                 tainted: false,
             });
         }
-        self.scratch = now;
         self.update_model();
     }
 
@@ -372,7 +362,6 @@ impl<K: StoreSelect> Detector for FastTrackOn<K> {
             vc_frees: counters[4],
             evicted: counters[5],
             event_index: counters[6],
-            scratch: Default::default(),
         };
         Ok(())
     }

@@ -38,6 +38,18 @@ impl ThreadState {
     }
 }
 
+/// Thread `t`'s state, materialized on first use. A free function over
+/// the thread table, so that [`HbState::first_access`] can update the
+/// bitmap byte counters while it holds the returned clock.
+#[inline]
+fn thread_slot(threads: &mut Vec<Option<ThreadState>>, t: Tid) -> &mut ThreadState {
+    let i = t.index();
+    if i >= threads.len() {
+        threads.resize_with(i + 1, || None);
+    }
+    threads[i].get_or_insert_with(|| ThreadState::new(t))
+}
+
 /// The synchronization state of an execution, updated by sync events and
 /// queried by detectors on every access.
 ///
@@ -70,28 +82,20 @@ impl HbState {
         Self::default()
     }
 
-    fn thread_mut(&mut self, t: Tid) -> &mut ThreadState {
-        let i = t.index();
-        if i >= self.threads.len() {
-            self.threads.resize_with(i + 1, || None);
-        }
-        self.threads[i].get_or_insert_with(|| ThreadState::new(t))
-    }
-
     /// The current vector clock of thread `t`.
     pub fn clock(&mut self, t: Tid) -> &VectorClock {
-        &self.thread_mut(t).vc
+        &thread_slot(&mut self.threads, t).vc
     }
 
     /// The current epoch `c@t` of thread `t`.
     pub fn epoch(&mut self, t: Tid) -> Epoch {
-        let vc = &self.thread_mut(t).vc;
+        let vc = &thread_slot(&mut self.threads, t).vc;
         Epoch::new(vc.get(t), t)
     }
 
     /// Ticks `t`'s own clock (starting a new epoch) and resets its bitmap.
     fn new_epoch(&mut self, t: Tid) {
-        let ts = self.thread_mut(t);
+        let ts = thread_slot(&mut self.threads, t);
         ts.vc.tick(t);
         let before = ts.bitmap.bytes();
         ts.bitmap.reset();
@@ -107,16 +111,16 @@ impl HbState {
                 // T_i := T_i ⊔ L_s (everything any release published).
                 if let Some(lc) = self.locks.get(&lock) {
                     let all = lc.all.clone();
-                    self.thread_mut(tid).vc.join(&all);
+                    thread_slot(&mut self.threads, tid).vc.join(&all);
                 } else {
-                    self.thread_mut(tid); // materialize
+                    thread_slot(&mut self.threads, tid); // materialize
                 }
                 true
             }
             Event::Release { tid, lock } => {
                 // L_s := L_s ⊔ T_i, then a new epoch for T_i. A write
                 // release publishes to readers and writers alike.
-                let tvc = self.thread_mut(tid).vc.clone();
+                let tvc = thread_slot(&mut self.threads, tid).vc.clone();
                 let lc = self.locks.entry(lock).or_default();
                 lc.all.join(&tvc);
                 lc.writer.join(&tvc);
@@ -127,23 +131,23 @@ impl HbState {
                 // Readers synchronize with prior write releases only.
                 if let Some(lc) = self.locks.get(&lock) {
                     let w = lc.writer.clone();
-                    self.thread_mut(tid).vc.join(&w);
+                    thread_slot(&mut self.threads, tid).vc.join(&w);
                 } else {
-                    self.thread_mut(tid);
+                    thread_slot(&mut self.threads, tid);
                 }
                 true
             }
             Event::ReleaseRead { tid, lock } => {
                 // A read release publishes to the *next writer* (via
                 // `all`) but not to other readers.
-                let tvc = self.thread_mut(tid).vc.clone();
+                let tvc = thread_slot(&mut self.threads, tid).vc.clone();
                 self.locks.entry(lock).or_default().all.join(&tvc);
                 self.new_epoch(tid);
                 true
             }
             Event::CvSignal { tid, cv } => {
                 // C := C ⊔ T, then a new epoch (the signal publishes).
-                let tvc = self.thread_mut(tid).vc.clone();
+                let tvc = thread_slot(&mut self.threads, tid).vc.clone();
                 self.cvs
                     .entry(cv)
                     .and_modify(|c| c.join(&tvc))
@@ -155,15 +159,15 @@ impl HbState {
                 // T := T ⊔ C (join every signaler seen so far).
                 if let Some(c) = self.cvs.get(&cv) {
                     let c = c.clone();
-                    self.thread_mut(tid).vc.join(&c);
+                    thread_slot(&mut self.threads, tid).vc.join(&c);
                 } else {
-                    self.thread_mut(tid);
+                    thread_slot(&mut self.threads, tid);
                 }
                 true
             }
             Event::BarrierArrive { tid, bar } => {
                 // G := G ⊔ T, then a new epoch (the arrival publishes).
-                let tvc = self.thread_mut(tid).vc.clone();
+                let tvc = thread_slot(&mut self.threads, tid).vc.clone();
                 self.bars
                     .entry(bar)
                     .and_modify(|g| g.join(&tvc))
@@ -175,23 +179,23 @@ impl HbState {
                 // T := T ⊔ G (adopt every participant's arrival clock).
                 if let Some(g) = self.bars.get(&bar) {
                     let g = g.clone();
-                    self.thread_mut(tid).vc.join(&g);
+                    thread_slot(&mut self.threads, tid).vc.join(&g);
                 } else {
-                    self.thread_mut(tid);
+                    thread_slot(&mut self.threads, tid);
                 }
                 true
             }
             Event::Fork { parent, child } => {
                 // C_child := C_child ⊔ C_parent ; new epoch for parent.
-                let pvc = self.thread_mut(parent).vc.clone();
-                self.thread_mut(child).vc.join(&pvc);
+                let pvc = thread_slot(&mut self.threads, parent).vc.clone();
+                thread_slot(&mut self.threads, child).vc.join(&pvc);
                 self.new_epoch(parent);
                 true
             }
             Event::Join { parent, child } => {
                 // C_parent := C_parent ⊔ C_child ; new epoch for child.
-                let cvc = self.thread_mut(child).vc.clone();
-                self.thread_mut(parent).vc.join(&cvc);
+                let cvc = thread_slot(&mut self.threads, child).vc.clone();
+                thread_slot(&mut self.threads, parent).vc.join(&cvc);
                 self.new_epoch(child);
                 true
             }
@@ -199,38 +203,29 @@ impl HbState {
         }
     }
 
-    /// Same-epoch filter for a **read** of `addr` by `t`: returns `true`
-    /// (skip) if `t` already read *or wrote* this location in its current
-    /// epoch; otherwise marks the read and returns `false`.
-    pub fn first_read_in_epoch(&mut self, t: Tid, addr: Addr) -> bool {
-        let ts = self.thread_mut(t);
-        if ts.bitmap.test_either(addr) {
-            return false;
-        }
+    /// The per-access front end. Resolves thread `t` once and runs the
+    /// same-epoch filter with one bitmap probe: returns `None` if `t`
+    /// already made this access in its current epoch (for a read, a read
+    /// *or* a write of `addr` counts), otherwise marks the access and
+    /// returns `t`'s epoch and its vector clock, borrowed — detectors
+    /// check and record against it in place instead of copying it.
+    // Inlined across crates (no LTO): a call costs about as much as the
+    // probe itself.
+    #[inline]
+    pub fn first_access(
+        &mut self,
+        t: Tid,
+        addr: Addr,
+        is_write: bool,
+    ) -> Option<(Epoch, &VectorClock)> {
+        let ts = thread_slot(&mut self.threads, t);
         let before = ts.bitmap.bytes();
-        ts.bitmap.test_and_set(addr, false);
-        let after = ts.bitmap.bytes();
-        self.grow_bitmap(after - before);
-        true
-    }
-
-    /// Same-epoch filter for a **write** of `addr` by `t`: returns `true`
-    /// (first write this epoch) and marks it, or `false` if already
-    /// written this epoch.
-    pub fn first_write_in_epoch(&mut self, t: Tid, addr: Addr) -> bool {
-        let ts = self.thread_mut(t);
-        let before = ts.bitmap.bytes();
-        let seen = ts.bitmap.test_and_set(addr, true);
-        let after = ts.bitmap.bytes();
-        self.grow_bitmap(after - before);
-        !seen
-    }
-
-    fn grow_bitmap(&mut self, delta: usize) {
-        self.bitmap_bytes += delta;
-        if self.bitmap_bytes > self.peak_bitmap_bytes {
-            self.peak_bitmap_bytes = self.bitmap_bytes;
+        if !ts.bitmap.first_access(addr, is_write) {
+            return None;
         }
+        self.bitmap_bytes += ts.bitmap.bytes() - before;
+        self.peak_bitmap_bytes = self.peak_bitmap_bytes.max(self.bitmap_bytes);
+        Some((Epoch::new(ts.vc.get(t), t), &ts.vc))
     }
 
     /// Current modeled bytes of all per-thread bitmaps.
@@ -393,12 +388,12 @@ mod tests {
     fn same_epoch_bitmap_filters_and_resets() {
         let mut hb = HbState::new();
         let a = Addr(0x40);
-        assert!(hb.first_read_in_epoch(Tid(0), a));
-        assert!(!hb.first_read_in_epoch(Tid(0), a));
-        assert!(hb.first_write_in_epoch(Tid(0), a));
-        assert!(!hb.first_write_in_epoch(Tid(0), a));
+        assert!(hb.first_access(Tid(0), a, false).is_some());
+        assert!(hb.first_access(Tid(0), a, false).is_none());
+        assert!(hb.first_access(Tid(0), a, true).is_some());
+        assert!(hb.first_access(Tid(0), a, true).is_none());
         // A read after a write in the same epoch is also filtered.
-        assert!(!hb.first_read_in_epoch(Tid(0), Addr(0x40)));
+        assert!(hb.first_access(Tid(0), Addr(0x40), false).is_none());
         assert!(hb.bitmap_bytes() > 0);
         // New epoch at release → bitmap reset.
         hb.on_sync(&Event::Release {
@@ -407,15 +402,15 @@ mod tests {
         });
         assert_eq!(hb.bitmap_bytes(), 0);
         assert!(hb.peak_bitmap_bytes() > 0);
-        assert!(hb.first_read_in_epoch(Tid(0), a));
+        assert!(hb.first_access(Tid(0), a, false).is_some());
     }
 
     #[test]
     fn bitmaps_are_per_thread() {
         let mut hb = HbState::new();
         let a = Addr(0x40);
-        assert!(hb.first_write_in_epoch(Tid(0), a));
-        assert!(hb.first_write_in_epoch(Tid(1), a));
+        assert!(hb.first_access(Tid(0), a, true).is_some());
+        assert!(hb.first_access(Tid(1), a, true).is_some());
     }
 
     #[test]
@@ -522,12 +517,15 @@ mod tests {
     fn barrier_arrive_resets_bitmap() {
         let mut hb = HbState::new();
         let a = Addr(0x20);
-        assert!(hb.first_write_in_epoch(Tid(0), a));
+        assert!(hb.first_access(Tid(0), a, true).is_some());
         hb.on_sync(&Event::BarrierArrive {
             tid: Tid(0),
             bar: LockId(7),
         });
-        assert!(hb.first_write_in_epoch(Tid(0), a), "new epoch after arrive");
+        assert!(
+            hb.first_access(Tid(0), a, true).is_some(),
+            "new epoch after arrive"
+        );
     }
 
     #[test]
@@ -549,7 +547,7 @@ mod tests {
             tid: Tid(1),
             bar: LockId(7),
         });
-        hb.first_read_in_epoch(Tid(0), Addr(0x40));
+        hb.first_access(Tid(0), Addr(0x40), false);
 
         let mut w = dgrace_trace::SnapshotWriter::new(*b"TEST", 1);
         hb.encode(&mut w);
@@ -575,10 +573,81 @@ mod tests {
         }
         assert_eq!(back.clock(Tid(2)), hb.clock(Tid(2)));
         assert_eq!(
-            back.first_read_in_epoch(Tid(0), Addr(0x40)),
-            hb.first_read_in_epoch(Tid(0), Addr(0x40)),
+            back.first_access(Tid(0), Addr(0x40), false).is_some(),
+            hb.first_access(Tid(0), Addr(0x40), false).is_some(),
             "same-epoch bitmap survived the round trip"
         );
+    }
+
+    /// `first_access` against the three calls it replaced: the
+    /// same-epoch filter (modeled as a per-thread set of
+    /// `(addr, is_write)` cleared whenever the thread's epoch moves),
+    /// then `epoch` and `clock`, over a random mix of accesses and every
+    /// kind of sync event.
+    #[test]
+    fn first_access_matches_filter_epoch_and_clock() {
+        let mut hb = HbState::new();
+        let mut model: HashMap<Tid, (Epoch, std::collections::HashSet<(Addr, bool)>)> =
+            HashMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut filtered = 0;
+        for _ in 0..50_000 {
+            let r = next();
+            let tid = Tid((r % 4) as u32);
+            let other = Tid(((r >> 8) % 4) as u32);
+            let id = LockId(((r >> 16) % 3) as u32);
+            let sync = match (r >> 24) % 64 {
+                0 => Some(Event::Release { tid, lock: id }),
+                1 => Some(Event::Acquire { tid, lock: id }),
+                2 => Some(Event::ReleaseRead { tid, lock: id }),
+                3 => Some(Event::AcquireRead { tid, lock: id }),
+                4 => Some(Event::CvSignal { tid, cv: id }),
+                5 => Some(Event::CvWait { tid, cv: id }),
+                6 => Some(Event::BarrierArrive { tid, bar: id }),
+                7 => Some(Event::BarrierDepart { tid, bar: id }),
+                8 if tid != other => Some(Event::Fork {
+                    parent: tid,
+                    child: other,
+                }),
+                9 if tid != other => Some(Event::Join {
+                    parent: tid,
+                    child: other,
+                }),
+                _ => None,
+            };
+            if let Some(ev) = sync {
+                assert!(hb.on_sync(&ev));
+                continue;
+            }
+            // 64 locations spread over four bitmap chunks.
+            let addr = Addr((r >> 32) % 64 * 97);
+            let is_write = (r >> 40) & 1 == 1;
+            let epoch = hb.epoch(tid);
+            let clock = hb.clock(tid).clone();
+            let (at, seen) = model.entry(tid).or_insert((epoch, Default::default()));
+            if *at != epoch {
+                *at = epoch;
+                seen.clear();
+            }
+            let repeat =
+                seen.contains(&(addr, true)) || (!is_write && seen.contains(&(addr, false)));
+            if repeat {
+                filtered += 1;
+            } else {
+                seen.insert((addr, is_write));
+            }
+            let got = hb
+                .first_access(tid, addr, is_write)
+                .map(|(e, vc)| (e, vc.clone()));
+            assert_eq!(got, (!repeat).then_some((epoch, clock)));
+        }
+        assert!(filtered > 1000, "the mix must exercise the filter");
     }
 
     #[test]

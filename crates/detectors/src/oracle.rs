@@ -55,7 +55,7 @@ impl OracleDetector {
     fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
         self.accesses += 1;
         let loc = self.granularity.locate(addr);
-        let now = self.hb.clock(tid).clone();
+        let now = self.hb.clock(tid);
         let my_epoch = Epoch::new(now.get(tid), tid);
         let hist = self.history.entry(loc).or_default();
 
@@ -73,7 +73,7 @@ impl OracleDetector {
             };
             let mut found: Option<(RaceKind, Epoch)> = None;
             for (e, k) in conflicting {
-                if !e.leq(&now) {
+                if !e.leq(now) {
                     found = Some((k, *e));
                     break;
                 }

@@ -183,14 +183,11 @@ mod tests {
         vc.set(Tid(0), 2);
         vc.set(Tid(5), 9);
         for rc in [ReadClock::Epoch(e), ReadClock::Vc(vc.clone())] {
-            assert_eq!(
-                round_trip(&rc, |w, v| encode_read_clock(w, v), decode_read_clock),
-                rc
-            );
+            assert_eq!(round_trip(&rc, encode_read_clock, decode_read_clock), rc);
         }
         for ac in [AccessClock::Epoch(e), AccessClock::Vc(vc)] {
             assert_eq!(
-                round_trip(&ac, |w, v| encode_access_clock(w, v), decode_access_clock),
+                round_trip(&ac, encode_access_clock, decode_access_clock),
                 ac
             );
         }

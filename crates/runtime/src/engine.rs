@@ -80,7 +80,7 @@ use std::sync::Arc;
 use crossbeam::queue::ArrayQueue;
 use dgrace_detectors::{merge_shard_reports, Detector, Recorder, Report, ShardFailure, Tee};
 use dgrace_trace::{Event, PruneSet, Tid, Trace};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// A recoverable engine-level failure, surfaced by the `try_*` variants
 /// of the [`crate::Runtime`] extraction methods.
@@ -491,7 +491,8 @@ pub(crate) struct ShardCapture {
 pub(crate) struct Engine {
     shards: Vec<Mutex<ShardState>>,
     /// Global sequence stamp; allocated under shard locks so per-shard
-    /// feed order equals stamp order.
+    /// feed order equals stamp order. A pipeline [`Producer`] counts
+    /// stamps locally and publishes them here.
     seq: AtomicU64,
     /// Exact count of logical events emitted (broadcasts count once).
     emitted: AtomicU64,
@@ -513,6 +514,63 @@ pub(crate) struct Engine {
     sync_journal: Mutex<Vec<(u64, Event)>>,
     /// Present when the engine self-heals panicked shards.
     supervisor: Option<Supervisor>,
+}
+
+/// The pipeline producer's view of the engine. The producer is the only
+/// thread that stamps events while a pipeline runs, so it counts stamps
+/// and emitted events in locals and holds the router read lock across
+/// runs of events, instead of two atomic read-modify-writes and one lock
+/// round trip per event. [`publish`](Producer::publish) writes the
+/// counters back and releases the lock; the producer calls it before
+/// every quiesce or capture and at the end, so every capture and the
+/// final report see exactly the values per-event updates would give.
+pub(crate) struct Producer<'e> {
+    engine: &'e Engine,
+    router: Option<RwLockReadGuard<'e, Router>>,
+    next_stamp: u64,
+    emitted: u64,
+}
+
+impl Producer<'_> {
+    /// Stamps one logical event and counts it as emitted. A sync event
+    /// takes one stamp for all shard lanes, so per-shard journals stay
+    /// globally ordered by stamp.
+    pub(crate) fn emit(&mut self) -> u64 {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.emitted += 1;
+        stamp
+    }
+
+    /// Collects the routing targets of one access/alloc/free event into
+    /// `out` (cleared first). `Free` fans out to every owning shard,
+    /// everything else routes to exactly one.
+    pub(crate) fn route(&mut self, ev: &Event, out: &mut Vec<usize>) {
+        let router = self.router.get_or_insert_with(|| self.engine.router.read());
+        if let Event::Free { addr, size, .. } = *ev {
+            router.routes_for_range(addr.0, size, out);
+        } else {
+            out.clear();
+            out.push(router.route(route_addr(ev)));
+        }
+    }
+
+    /// Registers an allocated object's range (see
+    /// [`Engine::register_range`]), releasing the read lock first.
+    pub(crate) fn register_range(&mut self, base: u64, len: u64) {
+        self.router = None;
+        self.engine.register_range(base, len);
+    }
+
+    /// Writes the local counters back to the engine and releases the
+    /// router lock.
+    pub(crate) fn publish(&mut self) {
+        self.router = None;
+        self.engine.seq.store(self.next_stamp, Ordering::Relaxed);
+        self.engine
+            .emitted
+            .fetch_add(std::mem::take(&mut self.emitted), Ordering::Relaxed);
+    }
 }
 
 impl Engine {
@@ -954,34 +1012,19 @@ impl Engine {
         !self.prune.is_empty() && self.prunes(ev)
     }
 
-    /// Allocates one sequence stamp. The pipeline producer stamps every
-    /// logical event; a sync event reuses one stamp across all shard
-    /// lanes, so per-shard journals stay globally ordered by stamp.
-    pub(crate) fn alloc_stamp(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Records `n` logical events as emitted (pipeline producer side).
-    pub(crate) fn note_emitted(&self, n: u64) {
-        self.emitted.fetch_add(n, Ordering::Relaxed);
+    /// The pipeline producer's handle (see [`Producer`]).
+    pub(crate) fn producer(&self) -> Producer<'_> {
+        Producer {
+            engine: self,
+            router: None,
+            next_stamp: self.seq.load(Ordering::Relaxed),
+            emitted: 0,
+        }
     }
 
     /// Records `n` accesses dropped by the prune predicate.
     pub(crate) fn note_pruned(&self, n: u64) {
         self.pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Collects the routing targets of one access/alloc/free event into
-    /// `out` (cleared first). `Free` fans out to every owning shard,
-    /// everything else routes to exactly one.
-    pub(crate) fn route_targets(&self, ev: &Event, out: &mut Vec<usize>) {
-        let router = self.router.read();
-        if let Event::Free { addr, size, .. } = *ev {
-            router.routes_for_range(addr.0, size, out);
-        } else {
-            out.clear();
-            out.push(router.route(route_addr(ev)));
-        }
     }
 
     /// Feeds one shard a stamped segment of its per-shard event stream:

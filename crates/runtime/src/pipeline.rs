@@ -286,6 +286,7 @@ fn produce(
     let trace_len = trace.len() as u64;
     let mut stage: Vec<Vec<(u64, Event)>> = vec![Vec::new(); shards];
     let mut targets: Vec<usize> = Vec::new();
+    let mut producer = engine.producer();
     let mut since = 0u64;
     let mut last = Instant::now();
     for (idx, ev) in trace.iter().enumerate().skip(start) {
@@ -297,6 +298,7 @@ fn produce(
             for (lane, ring) in stage.iter_mut().zip(rings) {
                 flush_lane(ring, lane);
             }
+            producer.publish();
             quiesce(rings)?;
             if let Some(c) = ckpt {
                 let manifest = CheckpointManifest {
@@ -314,29 +316,27 @@ fn produce(
             // Epoch-batched broadcast: one stamp, appended to every
             // lane's segment; workers apply it without cross-shard
             // coordination when their lane reaches this point.
-            let stamp = engine.alloc_stamp();
+            let stamp = producer.emit();
             for (lane, ring) in stage.iter_mut().zip(rings) {
                 lane.push((stamp, *ev));
                 if lane.len() >= SEGMENT_EVENTS {
                     flush_lane(ring, lane);
                 }
             }
-            engine.note_emitted(1);
         } else if engine.prunes_event(ev) {
             engine.note_pruned(1);
         } else {
             if let Event::Alloc { addr, size, .. } = *ev {
-                engine.register_range(addr.0, size);
+                producer.register_range(addr.0, size);
             }
-            let stamp = engine.alloc_stamp();
-            engine.route_targets(ev, &mut targets);
+            let stamp = producer.emit();
+            producer.route(ev, &mut targets);
             for &s in &targets {
                 stage[s].push((stamp, *ev));
                 if stage[s].len() >= SEGMENT_EVENTS {
                     flush_lane(&rings[s], &mut stage[s]);
                 }
             }
-            engine.note_emitted(1);
         }
         since += 1;
         if let Some(c) = ckpt {
@@ -351,6 +351,7 @@ fn produce(
                 for (lane, ring) in stage.iter_mut().zip(rings) {
                     flush_lane(ring, lane);
                 }
+                producer.publish();
                 quiesce(rings)?;
                 let manifest = CheckpointManifest {
                     detector: det_name.to_string(),
@@ -368,6 +369,7 @@ fn produce(
     for (lane, ring) in stage.iter_mut().zip(rings) {
         flush_lane(ring, lane);
     }
+    producer.publish();
     Ok(())
 }
 

@@ -23,14 +23,17 @@ use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 
 type Proto = Box<dyn ShardableDetector + Send>;
 
-/// The six detector × store combinations of the matrix. Each entry
-/// yields a fresh bare prototype and a fault-wrapped prototype whose
-/// `target`-th spawned shard panics at its `panic_at`-th event.
-fn prototypes() -> Vec<(
+/// A named bare prototype and its fault-wrapped twin.
+type Combo = (
     &'static str,
     Box<dyn Fn() -> Proto>,
     Box<dyn Fn(usize, u64) -> Proto>,
-)> {
+);
+
+/// The six detector × store combinations of the matrix. Each entry
+/// yields a fresh bare prototype and a fault-wrapped prototype whose
+/// `target`-th spawned shard panics at its `panic_at`-th event.
+fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

@@ -29,13 +29,16 @@ use proptest::prelude::*;
 
 type Proto = Box<dyn ShardableDetector + Send>;
 
-/// The six detector × store combinations: a bare prototype and a
-/// sampled prototype wrapping the same detector under `spec`.
-fn prototypes() -> Vec<(
+/// A named bare prototype and its sampled twin.
+type Combo = (
     &'static str,
     Box<dyn Fn() -> Proto>,
     Box<dyn Fn(&str) -> Proto>,
-)> {
+);
+
+/// The six detector × store combinations: a bare prototype and a
+/// sampled prototype wrapping the same detector under `spec`.
+fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

@@ -37,37 +37,31 @@ impl EpochBitmap {
     }
 
     /// Returns `true` if `(addr, is_write)` is already marked.
-    #[inline]
     pub fn test(&self, addr: Addr, is_write: bool) -> bool {
         let (key, byte, mask) = locate(addr, is_write);
         self.chunks.get(&key).is_some_and(|c| c[byte] & mask != 0)
     }
 
-    /// Marks `(addr, is_write)`; returns `true` if it was already set.
+    /// The same-epoch filter in one probe: returns `false` if this access
+    /// repeats one already made in the current epoch, otherwise marks it
+    /// and returns `true`. A *write* in the current epoch also covers
+    /// later reads (a read after a write by the same thread in the same
+    /// epoch cannot be the first of a new race), so a read is a repeat if
+    /// either plane is marked; a write only if the write plane is.
     #[inline]
-    pub fn test_and_set(&mut self, addr: Addr, is_write: bool) -> bool {
+    pub fn first_access(&mut self, addr: Addr, is_write: bool) -> bool {
         let (key, byte, mask) = locate(addr, is_write);
         let chunk = self
             .chunks
             .entry(key)
             .or_insert_with(|| Box::new([0u8; CHUNK_PAYLOAD]));
-        let was = chunk[byte] & mask != 0;
-        chunk[byte] |= mask;
-        if self.chunks.len() > self.peak_chunks {
-            self.peak_chunks = self.chunks.len();
+        let seen = if is_write { mask } else { mask | (mask << 1) };
+        if chunk[byte] & seen != 0 {
+            return false;
         }
-        was
-    }
-
-    /// A *write* in the current epoch also covers subsequent reads for the
-    /// purpose of the first-access filter in FastTrack (a read after a
-    /// write by the same thread in the same epoch cannot be the first of a
-    /// new race). This checks both planes.
-    #[inline]
-    pub fn test_either(&self, addr: Addr) -> bool {
-        let (key, byte, _) = locate(addr, false);
-        let both = read_mask(addr) | write_mask(addr);
-        self.chunks.get(&key).is_some_and(|c| c[byte] & both != 0)
+        chunk[byte] |= mask;
+        self.peak_chunks = self.peak_chunks.max(self.chunks.len());
+        true
     }
 
     /// Resets the bitmap — called at every lock release, when the thread's
@@ -104,17 +98,36 @@ impl EpochBitmap {
         w.u64(self.peak_chunks as u64);
     }
 
-    /// Rebuilds a bitmap from [`EpochBitmap::encode`]d bytes.
+    /// Rebuilds a bitmap from [`EpochBitmap::encode`]d bytes. Chunk keys
+    /// must be strictly increasing, as `encode` writes them: a duplicate
+    /// would otherwise silently merge two chunks. The peak must cover
+    /// the decoded chunks.
     pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
         let n = r.count("bitmap chunks")?;
         let mut chunks = FastMap::default();
+        let mut prev = None;
         for _ in 0..n {
+            let offset = r.offset();
             let key = r.u64()?;
+            if prev.is_some_and(|p| key <= p) {
+                return Err(TraceError::Malformed {
+                    offset,
+                    what: "bitmap chunk keys (duplicate or unsorted)",
+                });
+            }
+            prev = Some(key);
             let mut payload = Box::new([0u8; CHUNK_PAYLOAD]);
             r.raw(&mut payload[..])?;
             chunks.insert(key, payload);
         }
+        let offset = r.offset();
         let peak_chunks = r.u64()? as usize;
+        if peak_chunks < chunks.len() {
+            return Err(TraceError::Malformed {
+                offset,
+                what: "bitmap peak below its live chunks",
+            });
+        }
         Ok(EpochBitmap {
             chunks,
             peak_chunks,
@@ -122,27 +135,13 @@ impl EpochBitmap {
     }
 }
 
-#[inline]
-fn read_mask(addr: Addr) -> u8 {
-    1 << (((addr.0 % 4) as u8) * 2)
-}
-
-#[inline]
-fn write_mask(addr: Addr) -> u8 {
-    2 << (((addr.0 % 4) as u8) * 2)
-}
-
-/// Maps `(addr, plane)` to `(chunk key, byte index, bit mask)`.
+/// Maps `(addr, plane)` to `(chunk key, byte index, bit mask)`. The
+/// write bit of an address sits just above its read bit.
 #[inline]
 fn locate(addr: Addr, is_write: bool) -> (u64, usize, u8) {
     let key = addr.0 / CHUNK_SPAN;
-    let off = (addr.0 % CHUNK_SPAN) as usize;
-    let byte = off / 4;
-    let mask = if is_write {
-        write_mask(addr)
-    } else {
-        read_mask(addr)
-    };
+    let byte = (addr.0 % CHUNK_SPAN) as usize / 4;
+    let mask = (1 + is_write as u8) << ((addr.0 % 4) * 2);
     (key, byte, mask)
 }
 
@@ -151,24 +150,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_then_test() {
+    fn read_then_write_then_read() {
         let mut b = EpochBitmap::new();
         let a = Addr(0x1234);
-        assert!(!b.test(a, false));
-        assert!(!b.test_and_set(a, false));
+        assert!(b.first_access(a, false));
         assert!(b.test(a, false));
-        assert!(b.test_and_set(a, false));
-        // The write plane is independent.
+        assert!(!b.first_access(a, false));
+        // The write plane is independent of earlier reads...
         assert!(!b.test(a, true));
-        assert!(!b.test_and_set(a, true));
-        assert!(b.test(a, true));
+        assert!(b.first_access(a, true));
+        assert!(!b.first_access(a, true));
+        // ...but a write covers later reads.
+        let w = Addr(0x40);
+        assert!(b.first_access(w, true));
+        assert!(!b.first_access(w, false), "read after write is a repeat");
+        assert!(!b.test(w, false), "and marks nothing");
     }
 
     #[test]
     fn neighbors_do_not_alias() {
         let mut b = EpochBitmap::new();
         for off in 0..8u64 {
-            assert!(!b.test_and_set(Addr(0x100 + off), false));
+            assert!(b.first_access(Addr(0x100 + off), false));
         }
         for off in 0..8u64 {
             assert!(b.test(Addr(0x100 + off), false));
@@ -181,34 +184,64 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut b = EpochBitmap::new();
-        b.test_and_set(Addr(7), true);
-        b.test_and_set(Addr(70_000), false);
+        b.first_access(Addr(7), true);
+        b.first_access(Addr(70_000), false);
         assert_eq!(b.chunk_count(), 2);
         b.reset();
         assert!(!b.test(Addr(7), true));
         assert_eq!(b.chunk_count(), 0);
         assert_eq!(b.bytes(), 0);
         // Peak survives the reset.
-        assert!(b.peak_bytes() >= 2 * bitmap_chunk_bytes(CHUNK_PAYLOAD));
-    }
-
-    #[test]
-    fn test_either_sees_both_planes() {
-        let mut b = EpochBitmap::new();
-        b.test_and_set(Addr(0x40), true);
-        assert!(b.test_either(Addr(0x40)));
-        assert!(!b.test_either(Addr(0x41)));
-        b.test_and_set(Addr(0x41), false);
-        assert!(b.test_either(Addr(0x41)));
+        assert_eq!(b.peak_bytes(), 2 * bitmap_chunk_bytes(CHUNK_PAYLOAD));
+        // A chunk touched again after the reset starts out empty.
+        assert!(b.first_access(Addr(70_000), true));
+        assert!(!b.test(Addr(70_000), false));
+        assert_eq!(b.bytes(), bitmap_chunk_bytes(CHUNK_PAYLOAD));
     }
 
     #[test]
     fn chunk_boundaries() {
         let mut b = EpochBitmap::new();
-        b.test_and_set(Addr(CHUNK_SPAN - 1), false);
-        b.test_and_set(Addr(CHUNK_SPAN), false);
+        b.first_access(Addr(CHUNK_SPAN - 1), false);
+        b.first_access(Addr(CHUNK_SPAN), false);
         assert_eq!(b.chunk_count(), 2);
         assert!(b.test(Addr(CHUNK_SPAN - 1), false));
         assert!(b.test(Addr(CHUNK_SPAN), false));
+    }
+
+    /// A snapshot with chunk keys `keys`, each chunk marking one read.
+    fn hand_built(keys: &[u64], peak: u64) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        w.count(keys.len());
+        for &k in keys {
+            w.u64(k);
+            let mut payload = [0u8; CHUNK_PAYLOAD];
+            payload[0] = 1;
+            w.raw(&payload);
+        }
+        w.u64(peak);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<EpochBitmap, TraceError> {
+        let mut r = SnapshotReader::new(bytes, *b"TEST", 1, Default::default())?;
+        EpochBitmap::decode(&mut r)
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_unsorted_keys_and_short_peak() {
+        let ok = decode(&hand_built(&[1, 5], 2)).unwrap();
+        assert!(ok.test(Addr(5 * CHUNK_SPAN), false));
+        assert_eq!(ok.chunk_count(), 2);
+        for (keys, peak, what) in [
+            (&[3, 3][..], 2, "duplicate"),
+            (&[5, 1][..], 2, "unsorted"),
+            (&[1, 5][..], 1, "peak"),
+        ] {
+            match decode(&hand_built(keys, peak)) {
+                Err(TraceError::Malformed { what: w, .. }) => assert!(w.contains(what), "{w}"),
+                other => panic!("{keys:?}/{peak}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,8 +3,9 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dgrace_shadow::accounting::bitmap_chunk_bytes;
 use dgrace_shadow::{EpochBitmap, ShadowTable};
-use dgrace_trace::Addr;
+use dgrace_trace::{Addr, SnapshotWriter};
 use proptest::prelude::*;
 
 /// Operations on the shadow table. Addresses are drawn from a small pool
@@ -116,31 +117,79 @@ proptest! {
         }
     }
 
-    /// The bitmap against a `HashSet<(addr, plane)>` model.
+    /// The bitmap against a per-epoch `HashSet<(addr, is_write)>` model:
+    /// the filter answer, the live and peak bytes, and the snapshot bytes
+    /// after every operation. Resets are frequent and addresses span six
+    /// chunks, so chunks are dropped and touched again across epochs; a
+    /// bitmap that went through resets must encode exactly like a fresh
+    /// one with the same marks.
     #[test]
     fn bitmap_matches_hashset_model(
-        ops in proptest::collection::vec((0u64..5000, any::<bool>(), any::<bool>()), 1..200)
+        ops in proptest::collection::vec((0u64..12_000, any::<bool>(), 0u8..12), 1..200)
     ) {
         let mut bm = EpochBitmap::new();
         let mut model: HashSet<(u64, bool)> = HashSet::new();
-        for (addr, is_write, reset) in ops {
-            if reset {
+        let mut keys: HashSet<u64> = HashSet::new();
+        let mut peak = 0usize;
+        for (addr, is_write, roll) in ops {
+            if roll == 0 {
                 bm.reset();
                 model.clear();
+                keys.clear();
             }
-            let was = bm.test_and_set(Addr(addr), is_write);
-            let mwas = !model.insert((addr, is_write));
-            prop_assert_eq!(was, mwas, "test_and_set({}, {})", addr, is_write);
-            prop_assert_eq!(bm.test(Addr(addr), is_write), true);
-            prop_assert_eq!(
-                bm.test_either(Addr(addr)),
-                model.contains(&(addr, false)) || model.contains(&(addr, true))
-            );
-            // Spot-check a neighbor for aliasing.
-            let nb = addr ^ 1;
-            prop_assert_eq!(bm.test(Addr(nb), is_write), model.contains(&(nb, is_write)));
+            let repeat = model.contains(&(addr, true)) || (!is_write && model.contains(&(addr, false)));
+            prop_assert_eq!(bm.first_access(Addr(addr), is_write), !repeat, "first_access({}, {})", addr, is_write);
+            if !repeat {
+                model.insert((addr, is_write));
+            }
+            keys.insert(addr / CHUNK_SPAN);
+            peak = peak.max(keys.len());
+            prop_assert_eq!(bm.test(Addr(addr), is_write), model.contains(&(addr, is_write)));
+            prop_assert_eq!(bm.bytes(), keys.len() * CHUNK_BYTES);
+            prop_assert_eq!(bm.peak_bytes(), peak * CHUNK_BYTES);
+            prop_assert_eq!(encode(&bm), model_encoding(&model, &keys, peak));
         }
+        // The same marks, replayed into a fresh bitmap (reads before
+        // writes, so no read is filtered by its own location's write),
+        // encode to the same bytes up to the trailing peak.
+        let mut fresh = EpochBitmap::new();
+        let mut marks: Vec<_> = model.iter().copied().collect();
+        marks.sort_unstable_by_key(|&(a, w)| (w, a));
+        for (a, w) in marks {
+            prop_assert!(fresh.first_access(Addr(a), w));
+        }
+        let (reused, fresh) = (encode(&bm), encode(&fresh));
+        prop_assert_eq!(&reused[..reused.len() - 8], &fresh[..fresh.len() - 8]);
     }
+}
+
+const CHUNK_SPAN: u64 = 2048;
+const CHUNK_BYTES: usize = bitmap_chunk_bytes(512);
+
+fn encode(bm: &EpochBitmap) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(*b"TEST", 1);
+    bm.encode(&mut w);
+    w.finish()
+}
+
+/// The snapshot bytes a bitmap holding `marks` in the chunks `keys`
+/// must produce: chunks by ascending key, two bits per address (the
+/// write bit above the read bit), then the peak chunk count.
+fn model_encoding(marks: &HashSet<(u64, bool)>, keys: &HashSet<u64>, peak: usize) -> Vec<u8> {
+    let mut sorted: Vec<u64> = keys.iter().copied().collect();
+    sorted.sort_unstable();
+    let mut w = SnapshotWriter::new(*b"TEST", 1);
+    w.count(sorted.len());
+    for key in sorted {
+        let mut payload = [0u8; 512];
+        for &(a, is_write) in marks.iter().filter(|(a, _)| a / CHUNK_SPAN == key) {
+            payload[(a % CHUNK_SPAN) as usize / 4] |= (1 + is_write as u8) << ((a % 4) * 2);
+        }
+        w.u64(key);
+        w.raw(&payload);
+    }
+    w.u64(peak as u64);
+    w.finish()
 }
 
 /// Word-mode aliasing corner: an unaligned insert into a word-mode chunk

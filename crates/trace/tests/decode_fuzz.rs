@@ -244,7 +244,7 @@ fn framed_stream(ops: &[(u8, u32, u64, u8, u64)], per_frame: usize) -> Vec<u8> {
 /// losses exactly (`decoded + lost == declared`).
 fn check_framed(bytes: &[u8]) {
     let limits = DecodeLimits::default();
-    let mut r = &bytes[..];
+    let mut r = bytes;
     let mut offset = 0u64;
     let mut frames = 0usize;
     loop {
@@ -423,10 +423,8 @@ fn reference_validate(events: &[Event]) -> Option<ValidationError> {
             return Some(ValidationError::ActedAfterJoin { tid: actor, at });
         }
         match *ev {
-            Event::Fork { child, .. } => {
-                if !forked.insert(child) {
-                    return Some(ValidationError::DoubleFork { tid: child, at });
-                }
+            Event::Fork { child, .. } if !forked.insert(child) => {
+                return Some(ValidationError::DoubleFork { tid: child, at });
             }
             Event::Join { child, .. } => {
                 if !forked.contains(&child) {
@@ -455,10 +453,8 @@ fn reference_validate(events: &[Event]) -> Option<ValidationError> {
                 }
                 held.insert(lock, tid);
             }
-            Event::Release { tid, lock } => {
-                if held.remove(&lock) != Some(tid) {
-                    return Some(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
-                }
+            Event::Release { tid, lock } if held.remove(&lock) != Some(tid) => {
+                return Some(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
             }
             Event::AcquireRead { tid, lock } => {
                 if held.contains_key(&lock) {
@@ -806,7 +802,7 @@ proptest! {
         truncate in any::<bool>(),
     ) {
         let mut trace = valid_trace(&ops);
-        if kind % 2 == 0 {
+        if kind.is_multiple_of(2) {
             trace.events.extend(defect(kind / 2));
         }
         let mut bytes = to_bytes(&trace);
