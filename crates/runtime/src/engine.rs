@@ -702,9 +702,7 @@ impl Engine {
         while let Some(ev) = buf.queue.pop() {
             batch.push(ev);
         }
-        if !batch.is_empty() {
-            self.dispatch(batch);
-        }
+        self.dispatch(&batch);
     }
 
     /// Flushes every registered thread buffer.
@@ -727,37 +725,44 @@ impl Engine {
     ///
     /// Each per-shard part receives one sequence stamp, taken while the
     /// shard lock is held; events within a part keep their program order.
-    pub(crate) fn dispatch(&self, mut batch: Vec<Event>) {
+    /// An empty batch takes no stamp. The batch is borrowed: it is copied
+    /// only to drop pruned accesses, to split it across shards, and into
+    /// the journal when recording.
+    pub(crate) fn dispatch(&self, batch: &[Event]) {
         // Offline replay feeds dispatch directly (bypassing push), so the
         // prune predicate is applied here too; online batches were
         // already filtered at push time and pass through unchanged.
-        if !self.prune.is_empty() {
-            let before = batch.len();
-            batch.retain(|ev| !self.prunes(ev));
-            let dropped = (before - batch.len()) as u64;
+        let kept: Vec<Event>;
+        let batch = if self.prune.is_empty() {
+            batch
+        } else {
+            kept = batch
+                .iter()
+                .filter(|ev| !self.prunes(ev))
+                .copied()
+                .collect();
+            let dropped = (batch.len() - kept.len()) as u64;
             if dropped > 0 {
                 self.pruned.fetch_add(dropped, Ordering::Relaxed);
             }
-            if batch.is_empty() {
-                return;
-            }
+            &kept
+        };
+        if batch.is_empty() {
+            return;
         }
-        let n = batch.len() as u64;
         if self.shards.len() == 1 {
             let mut shard = self.shards[0].lock();
             let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.feed(&mut shard, 0, stamp, &batch);
+            self.feed(&mut shard, 0, stamp, batch);
             if self.record {
-                shard
-                    .journal
-                    .extend(batch.into_iter().map(|ev| (stamp, ev)));
+                shard.journal.extend(batch.iter().map(|&ev| (stamp, ev)));
             }
         } else {
             let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards.len()];
             {
                 let router = self.router.read();
                 let mut free_targets: Vec<usize> = Vec::new();
-                for ev in batch {
+                for &ev in batch {
                     if let Event::Free { addr, size, .. } = ev {
                         // Delivered to every owning shard; a shard
                         // holding no cells in the range clears nothing.
@@ -782,7 +787,29 @@ impl Engine {
                 }
             }
         }
-        self.emitted.fetch_add(n, Ordering::Relaxed);
+        self.emitted
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Feeds a slice of a trace with the offline funnel's ordering rules:
+    /// each `Alloc` registers its range when the walk meets it, each
+    /// sync event dispatches the access run before it and is then
+    /// broadcast, and the tail run is dispatched at the end. Every
+    /// access of a run is routed after all the run's `Alloc`s are
+    /// registered, so an access that precedes its own `Alloc` in a
+    /// sync-free run still lands on the object's shard.
+    pub(crate) fn funnel(&self, events: &[Event]) {
+        let mut run = 0;
+        for (i, ev) in events.iter().enumerate() {
+            if ev.is_sync() {
+                self.dispatch(&events[run..i]);
+                self.emit_sync(ev.tid(), *ev);
+                run = i + 1;
+            } else if let Event::Alloc { addr, size, .. } = *ev {
+                self.register_range(addr.0, size);
+            }
+        }
+        self.dispatch(&events[run..]);
     }
 
     /// Feeds one stamped part to a shard, containing panics. The
@@ -1001,7 +1028,7 @@ impl Engine {
     /// access to the object.
     pub(crate) fn emit_alloc(&self, tid: Tid, ev: Event) {
         self.flush_tid(tid);
-        self.dispatch(vec![ev]);
+        self.dispatch(&[ev]);
     }
 
     // ---- parallel-pipeline support (see `crate::pipeline`) ------------
@@ -1476,11 +1503,12 @@ mod tests {
             },
         );
         // Region hash routing: 0x0000 → shard 0, 0x1000 → shard 1.
-        eng.dispatch(vec![w(0, 0x100)]); // shard 0
-        eng.dispatch(vec![w(0, 0x1100), w(0, 0x1108)]); // shard 1: dies at first
-        eng.dispatch(vec![w(0, 0x1110)]); // shard 1: dropped post-quarantine
-        eng.dispatch(vec![w(1, 0x100)]); // shard 0: races with the first write
-                                         // The journal still covers every event, quarantined shard included.
+        eng.dispatch(&[w(0, 0x100)]); // shard 0
+        eng.dispatch(&[w(0, 0x1100), w(0, 0x1108)]); // shard 1: dies at first
+        eng.dispatch(&[w(0, 0x1110)]); // shard 1: dropped post-quarantine
+        eng.dispatch(&[w(1, 0x100)]); // shard 0: races with the first write
+
+        // The journal still covers every event, quarantined shard included.
         let trace = eng.take_recorded().expect("recording engine");
         assert_eq!(trace.len(), 5);
         let rep = eng.finish();
@@ -1506,7 +1534,7 @@ mod tests {
                 record: false,
             },
         );
-        eng.dispatch(vec![w(0, 0x100)]);
+        eng.dispatch(&[w(0, 0x100)]);
         let rep = eng.finish();
         assert_eq!(rep.failures.len(), 1);
         assert!(rep.races.is_empty());
@@ -1587,9 +1615,9 @@ mod tests {
             factory,
             SupervisorPolicy::default(),
         );
-        eng.dispatch(vec![w(0, 0x1100)]); // shard 1, survives
-        eng.dispatch(vec![w(1, 0x1100)]); // shard 1, panics → heals → races
-        eng.dispatch(vec![w(0, 0x100)]); // shard 0
+        eng.dispatch(&[w(0, 0x1100)]); // shard 1, survives
+        eng.dispatch(&[w(1, 0x1100)]); // shard 1, panics → heals → races
+        eng.dispatch(&[w(0, 0x100)]); // shard 0
         let rep = eng.finish();
         assert!(!rep.is_degraded(), "healed shard is not a failure");
         assert!(rep.failures.is_empty());
@@ -1633,7 +1661,7 @@ mod tests {
                 window: 1000,
             },
         );
-        eng.dispatch(vec![w(0, 0x100)]);
+        eng.dispatch(&[w(0, 0x100)]);
         let rep = eng.finish();
         assert_eq!(rep.failures.len(), 1, "budget exhausted → quarantine");
         assert_eq!(rep.stats.dropped, 1);
@@ -1665,10 +1693,10 @@ mod tests {
                 record: false,
             },
         );
-        eng.dispatch(vec![w(2, 0x1100)]); // shard 1: analyzed
-        eng.dispatch(vec![w(0, 0x1108)]); // shard 1: dies here
-        eng.dispatch(vec![w(3, 0x1110)]); // shard 1: post-quarantine
-        eng.dispatch(vec![w(1, 0x100)]); // shard 0: healthy
+        eng.dispatch(&[w(2, 0x1100)]); // shard 1: analyzed
+        eng.dispatch(&[w(0, 0x1108)]); // shard 1: dies here
+        eng.dispatch(&[w(3, 0x1110)]); // shard 1: post-quarantine
+        eng.dispatch(&[w(1, 0x100)]); // shard 0: healthy
         let rep = eng.finish();
         assert_eq!(rep.stats.events_lost, 1, "one event was analyzed pre-panic");
         assert_eq!(rep.stats.dropped, 2, "killer + post-quarantine arrival");
@@ -1713,12 +1741,12 @@ mod tests {
         // budget; mirrored traffic in region 0 keeps shard 0 busy,
         // healthy, and equally budget-pressured.
         for i in 0..256u64 {
-            eng.dispatch(vec![w(0, 0x1000 + i * 16)]);
-            eng.dispatch(vec![w(0, 0x0100 + i * 8)]);
+            eng.dispatch(&[w(0, 0x1000 + i * 16)]);
+            eng.dispatch(&[w(0, 0x0100 + i * 8)]);
         }
-        eng.dispatch(vec![w(1, 0x1200)]); // shard 1: dies here (257th)
+        eng.dispatch(&[w(1, 0x1200)]); // shard 1: dies here (257th)
         for i in 0..3u64 {
-            eng.dispatch(vec![w(2, 0x1f00 + i * 8)]); // post-quarantine
+            eng.dispatch(&[w(2, 0x1f00 + i * 8)]); // post-quarantine
         }
         let rep = eng.finish();
         assert_eq!(rep.failures.len(), 1, "shard 1 quarantined");
@@ -1766,21 +1794,21 @@ mod tests {
         // Uninterrupted baseline.
         let clean = Engine::new(shards(&proto), opts);
         clean.broadcast(acq);
-        clean.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
+        clean.dispatch(&[w(0, 0x100), w(0, 0x1100)]);
         clean.broadcast(rel);
-        clean.dispatch(vec![w(1, 0x100), w(1, 0x1100)]);
+        clean.dispatch(&[w(1, 0x100), w(1, 0x1100)]);
         let want = clean.finish();
         assert_eq!(want.races.len(), 2, "baseline sanity");
 
         // Same run split by a capture/restore across two engines.
         let first = Engine::new(shards(&proto), opts);
         first.broadcast(acq);
-        first.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
+        first.dispatch(&[w(0, 0x100), w(0, 0x1100)]);
         let state = first.capture();
         let second = Engine::new(shards(&proto), opts);
         second.restore(&state).expect("restore");
         second.broadcast(rel);
-        second.dispatch(vec![w(1, 0x100), w(1, 0x1100)]);
+        second.dispatch(&[w(1, 0x100), w(1, 0x1100)]);
         let got = second.finish();
         assert_eq!(got, want, "capture/restore run equals the clean run");
     }

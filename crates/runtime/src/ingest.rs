@@ -7,14 +7,19 @@
 //! [`IngestSession`] packages the sharded [`Engine`](crate::engine) for
 //! that shape:
 //!
-//! * **Funnel-exact feeding.** Events are fed with the same ordering
-//!   rules as [`crate::replay_sharded`]: accesses batch into a pending
-//!   buffer, sync events flush the batch and broadcast, `Alloc` events
-//!   register their range with the router first. A live session that
-//!   feeds the same event sequence as an offline replay produces a
-//!   byte-identical report. The pending batch is additionally capped at
-//!   [`INGEST_BATCH`] events so a sync-free stream cannot grow it
-//!   unboundedly.
+//! * **Funnel-exact feeding, no buffer.** Each fed slice is walked
+//!   with the same ordering rules as [`crate::replay_sharded`]: `Alloc`
+//!   events register their range with the router when met, each sync
+//!   event dispatches the access run before it (borrowed from the
+//!   caller's slice, not copied) and is then broadcast, and the tail
+//!   run is dispatched before the call returns. Nothing is held between
+//!   calls, so every event has reached its shard once `feed_all`
+//!   returns. A live session that feeds the same event sequence as an
+//!   offline replay produces a byte-identical report. A slice end also
+//!   cuts the access run, which moves only the stamps, unless an access
+//!   arrives in an earlier slice than its own `Alloc`: it is then routed
+//!   before the object is registered, as the funnel routes an access in
+//!   an earlier sync-delimited run.
 //! * **Incremental race streaming.** [`IngestSession::drain_new_races`]
 //!   reads each shard's live accumulator (via
 //!   `Detector::races_so_far`) past a per-shard watermark — nothing is
@@ -29,16 +34,10 @@
 //!   client replays only the suffix.
 
 use dgrace_detectors::{RaceReport, Report, ShardableDetector};
-use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::{Event, PruneSet};
 
 use crate::checkpoint::CheckpointManifest;
 use crate::engine::{Engine, RuntimeOptions};
-
-/// Maximum pending accesses before a forced dispatch. Bounds both the
-/// session's buffering and the latency between an event arriving and
-/// its shard seeing it, even on sync-free streams.
-pub const INGEST_BATCH: usize = 256;
 
 /// One live detection session: a sharded engine fed incrementally.
 ///
@@ -48,7 +47,6 @@ pub const INGEST_BATCH: usize = 256;
 pub struct IngestSession {
     engine: Engine,
     det_name: String,
-    pending: Vec<Event>,
     /// Logical events fed so far (accesses + syncs), i.e. the stream
     /// offset the next event will occupy.
     fed: u64,
@@ -83,7 +81,6 @@ impl IngestSession {
         IngestSession {
             engine: Engine::with_prune(detectors, opts, PruneSet::empty()),
             det_name: prototype.name(),
-            pending: Vec::new(),
             fed: 0,
             watermarks: vec![0; shards],
         }
@@ -104,42 +101,16 @@ impl IngestSession {
         self.fed
     }
 
-    /// Feeds one event, preserving the offline funnel's ordering rules.
+    /// Feeds one event (a one-event [`feed_all`](IngestSession::feed_all)).
     pub fn feed(&mut self, ev: &Event) {
-        if ev.is_sync() {
-            self.flush();
-            self.engine.emit_sync(ev.tid(), *ev);
-        } else {
-            if let Event::Alloc { addr, size, .. } = *ev {
-                self.engine.register_range(addr.0, size);
-            }
-            self.pending.push(*ev);
-            // Book the buffered event against the process-wide session
-            // gauge (reporting + server shedding; never the ladder).
-            process_gauge().add(MemComponent::Sessions, std::mem::size_of::<Event>() as u64);
-            if self.pending.len() >= INGEST_BATCH {
-                self.flush();
-            }
-        }
-        self.fed += 1;
+        self.feed_all(std::slice::from_ref(ev));
     }
 
-    /// Feeds a batch of events in order.
+    /// Feeds a slice of events in order, with the offline funnel's
+    /// ordering rules, dispatching every access run straight from it.
     pub fn feed_all(&mut self, events: &[Event]) {
-        for ev in events {
-            self.feed(ev);
-        }
-    }
-
-    /// Dispatches any pending accesses to the shards.
-    pub fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            process_gauge().sub(
-                MemComponent::Sessions,
-                (self.pending.len() * std::mem::size_of::<Event>()) as u64,
-            );
-            self.engine.dispatch(std::mem::take(&mut self.pending));
-        }
+        self.engine.funnel(events);
+        self.fed += events.len() as u64;
     }
 
     /// Races reported since the last drain, across all shards. The
@@ -147,7 +118,6 @@ impl IngestSession {
     /// final report are byte-identical no matter how often (or whether)
     /// this is called. Quarantined shards contribute nothing.
     pub fn drain_new_races(&mut self) -> Vec<RaceReport> {
-        self.flush();
         self.engine.new_races(&mut self.watermarks)
     }
 
@@ -155,7 +125,6 @@ impl IngestSession {
     /// The stream has no known end, so `trace_len` records the events
     /// covered so far (equal to `trace_offset`).
     pub fn checkpoint(&mut self) -> CheckpointManifest {
-        self.flush();
         CheckpointManifest {
             detector: self.det_name.clone(),
             trace_len: self.fed,
@@ -197,22 +166,10 @@ impl IngestSession {
         Ok(())
     }
 
-    /// Finishes the session: flushes, finalizes every shard, and merges
-    /// the reports (exact event counts, quarantine accounting included).
-    pub fn finalize(mut self) -> Report {
-        self.flush();
+    /// Finishes the session: finalizes every shard and merges the
+    /// reports (exact event counts, quarantine accounting included).
+    pub fn finalize(self) -> Report {
         self.engine.finish()
-    }
-}
-
-impl Drop for IngestSession {
-    fn drop(&mut self) {
-        // Retire any still-buffered events from the session gauge (a
-        // session abandoned mid-stream never flushed them).
-        process_gauge().sub(
-            MemComponent::Sessions,
-            (self.pending.len() * std::mem::size_of::<Event>()) as u64,
-        );
     }
 }
 
@@ -221,6 +178,7 @@ mod tests {
     use super::*;
     use dgrace_detectors::{race_signature, DetectorExt, FastTrack};
     use dgrace_trace::{AccessSize, Trace, TraceBuilder};
+    use dgrace_workloads::{Workload, WorkloadKind};
 
     fn racy_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -299,6 +257,31 @@ mod tests {
                 );
                 assert_eq!(got.stats.events, want.stats.events, "cut={cut}");
             }
+        }
+
+        // A generated workload fed in 64-event frames, at two shards, cut
+        // inside a frame: the first session ends on a partial frame and
+        // the resumed one starts on the rest of it.
+        let (trace, _) = Workload::new(WorkloadKind::Dedup)
+            .with_scale(0.01)
+            .generate();
+        let frames = |s: &mut IngestSession, events: &[Event]| {
+            for frame in events.chunks(64) {
+                s.feed_all(frame);
+            }
+        };
+        let mut whole = IngestSession::new(&FastTrack::new(), 2, None);
+        frames(&mut whole, &trace.events);
+        let want = whole.finalize();
+        assert!(!want.races.is_empty());
+        for cut in (0..10).map(|k| k * trace.len() / 10 + 17) {
+            let mut first = IngestSession::new(&FastTrack::new(), 2, None);
+            frames(&mut first, &trace.events[..cut]);
+            let m = first.checkpoint();
+            let mut second = IngestSession::new(&FastTrack::new(), 2, None);
+            second.resume(&m).expect("resume");
+            frames(&mut second, &trace.events[cut..]);
+            assert_eq!(second.finalize(), want, "cut={cut}");
         }
     }
 

@@ -4,8 +4,8 @@
 //! Access events are routed by address (allocation events register their
 //! range with the router, so whole objects stay in one shard; addresses
 //! outside any allocation fall back to 4 KiB region hashing). Sync
-//! events are broadcast to every shard. Consecutive accesses are
-//! dispatched in batches, mirroring the online flush behaviour.
+//! events are broadcast to every shard. Each run of accesses between
+//! sync events is dispatched as one batch borrowed from the trace.
 //!
 //! This is what backs the CLI's `--shards N` flag: the replay is
 //! sequential (sharding offline is about validating the partitioned
@@ -75,23 +75,7 @@ pub fn replay_sharded_planned<D: ShardableDetector + ?Sized>(
     let engine = Engine::with_prune(detectors, opts, prune);
     engine.preload_routes(routes);
 
-    let mut pending: Vec<Event> = Vec::new();
-    for ev in trace.iter() {
-        if ev.is_sync() {
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
-            }
-            engine.emit_sync(ev.tid(), *ev);
-        } else {
-            if let Event::Alloc { addr, size, .. } = *ev {
-                engine.register_range(addr.0, size);
-            }
-            pending.push(*ev);
-        }
-    }
-    if !pending.is_empty() {
-        engine.dispatch(pending);
-    }
+    engine.funnel(&trace.events);
     engine.finish()
 }
 
@@ -320,19 +304,20 @@ pub fn replay_checkpointed_planned(
             .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
     }
 
-    let mut pending: Vec<Event> = Vec::new();
+    // Start of the access run not yet dispatched. A run is cut at each
+    // sync event, at each checkpoint and at the stop point.
+    let events = &trace.events;
+    let mut run = start;
     let mut since = 0u64;
     let mut last = Instant::now();
     let mut health = CkptHealth::new();
-    for (idx, ev) in trace.iter().enumerate().skip(start) {
+    for (idx, ev) in events.iter().enumerate().skip(start) {
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             // Graceful interruption: event `idx` has not been processed,
             // so a final checkpoint at offset `idx` lets a resumed run
             // continue exactly here; the partial report covers the
             // prefix.
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
-            }
+            engine.dispatch(&events[run..idx]);
             if let Some(c) = ckpt {
                 let manifest = CheckpointManifest {
                     detector: det_name.clone(),
@@ -348,15 +333,11 @@ pub fn replay_checkpointed_planned(
             return Ok(rep);
         }
         if ev.is_sync() {
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
-            }
+            engine.dispatch(&events[run..idx]);
             engine.emit_sync(ev.tid(), *ev);
-        } else {
-            if let Event::Alloc { addr, size, .. } = *ev {
-                engine.register_range(addr.0, size);
-            }
-            pending.push(*ev);
+            run = idx + 1;
+        } else if let Event::Alloc { addr, size, .. } = *ev {
+            engine.register_range(addr.0, size);
         }
         since += 1;
         if let Some(c) = ckpt {
@@ -365,14 +346,13 @@ pub fn replay_checkpointed_planned(
                 CheckpointInterval::Secs(s) => last.elapsed() >= Duration::from_secs(s),
             };
             if due {
-                // Flush before capturing so the snapshot covers every
+                // Dispatch before capturing so the snapshot covers every
                 // event up to and including `idx`; resuming then starts
-                // cleanly at `idx + 1`. (Splitting a batch at a
-                // checkpoint boundary does not change any shard's feed
-                // order, so the final report is unaffected.)
-                if !pending.is_empty() {
-                    engine.dispatch(std::mem::take(&mut pending));
-                }
+                // cleanly at `idx + 1`. (Splitting a run at a checkpoint
+                // boundary does not change any shard's feed order, so
+                // the final report is unaffected.)
+                engine.dispatch(&events[run..=idx]);
+                run = idx + 1;
                 let manifest = CheckpointManifest {
                     detector: det_name.clone(),
                     trace_len,
@@ -386,9 +366,7 @@ pub fn replay_checkpointed_planned(
             }
         }
     }
-    if !pending.is_empty() {
-        engine.dispatch(pending);
-    }
+    engine.dispatch(&events[run..]);
     let mut rep = engine.finish();
     rep.checkpointing_degraded |= health.degraded();
     Ok(rep)

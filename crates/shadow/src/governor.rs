@@ -10,8 +10,8 @@
 //!   across the funnel and pipeline paths.
 //! * **Process gauge** (this module's [`ProcessGauge`]): a global set of
 //!   atomic byte counters that every allocation-owning component —
-//!   shadow stores, vector-clock arenas, pipeline ring lanes, server
-//!   session buffers — taps into. The gauge powers *reporting* and the
+//!   shadow stores, vector-clock arenas, pipeline ring lanes — taps
+//!   into. The gauge powers *reporting* and the
 //!   server's admission shedding (rung 4), where cross-thread timing
 //!   already makes determinism impossible; it is never consulted by the
 //!   per-shard ladder.
@@ -142,11 +142,9 @@ pub enum MemComponent {
     VcClocks = 1,
     /// Pipeline SPSC ring-lane capacity (registered at spawn).
     RingLanes = 2,
-    /// Server per-session buffers (registered per live session).
-    Sessions = 3,
 }
 
-const COMPONENTS: usize = 4;
+const COMPONENTS: usize = 3;
 
 /// Process-wide atomic byte accounting, one counter per
 /// [`MemComponent`] plus a monotonic peak of the total.
@@ -164,12 +162,7 @@ impl ProcessGauge {
     /// An empty gauge (all counters zero).
     pub const fn new() -> Self {
         ProcessGauge {
-            bytes: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
+            bytes: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             peak_total: AtomicU64::new(0),
         }
     }
